@@ -22,9 +22,9 @@
 # (one JSON object per line) into BENCH_PR10.json at the repo root — the
 # perf-trajectory record (BENCH_PR2..PR9.json hold the
 # earlier-era series). The file leads with a `_meta` line recording the
-# capture environment; in particular the stock container is 1-core, so
-# the multi-thread series document batching/pipelining wins, not
-# parallel-core scaling.
+# capture environment: the core count `nproc` reports, and a note on what
+# the multi-thread series measure at that count (on one core,
+# batching/pipelining wins only; on several, parallel scaling too).
 #
 # --metrics-json additionally runs scripts/metrics_dump.sh after the
 # benches, dropping the engine's metrics exposition and trace artifacts
@@ -88,10 +88,14 @@ run_bench() {
 }
 
 if [[ "$BENCH_JSON" == 1 ]]; then
+  CORES="$(nproc 2>/dev/null || echo 1)"
+  if [[ "$CORES" -gt 1 ]]; then
+    NOTE="captured on $CORES cores; the multi-thread series measure parallel scaling as well as batching/pipelining"
+  else
+    NOTE="captured on 1 core; the multi-thread series measure batching/pipelining, not parallel scaling"
+  fi
   printf '{"bench":"_meta","series":"environment","cores":%s,"note":"%s"}\n' \
-    "$(nproc 2>/dev/null || echo 1)" \
-    "captured in a container; on 1 core the multi-thread series measure batching/pipelining, not parallel scaling" \
-    > BENCH_PR10.json
+    "$CORES" "$NOTE" > BENCH_PR10.json
 fi
 
 echo "== merge-pipeline micro-bench (quick) =="

@@ -15,8 +15,12 @@
 // shard is a "site"), so it is domain-independent end to end: Superimpose
 // runs one k-way border sweep over the inputs' pieces (O(total pieces *
 // log sites)) and the default SSBM reduction consumes the composite's
-// pieces directly as weighted slices (O(pieces * log pieces)) — publish
-// cost scales with bucket counts, never with the attribute domain. The
+// pieces directly as weighted slices. SSBM seeds a tournament tree with
+// the pair keys in O(pieces), then repairs three tree slots per merge in
+// O(log pieces) each — publish cost scales with bucket counts, never with
+// the attribute domain. Measured on the perfbench ingest workload (8 DADO
+// shards x 64 buckets, an ~820-piece composite), medians: loaded publish
+// ~410 us, of which merge ~280 us; unloaded reduce ~125 us. The
 // pre-sweep implementations are kept (SuperimposeLegacy, ReduceMode::
 // kCells) as parity references and for the merge-pipeline benchmark.
 
@@ -35,8 +39,10 @@ namespace dynhist::distributed {
 /// How a composite model is re-partitioned down to the bucket budget.
 enum class ReduceMode {
   /// Feed the composite's pieces to SSBM as weighted uniform slices;
-  /// bucket borders fall on piece borders only. O(pieces log pieces),
-  /// independent of the attribute domain. The default everywhere.
+  /// bucket borders fall on piece borders only. SSBM's tree selection
+  /// costs O(log pieces) per merge, independent of the attribute domain:
+  /// ~125 us for ~820 pieces -> 64 buckets (perfbench ingest median,
+  /// unloaded). The default everywhere.
   kPieces,
   /// Legacy: rasterize the composite to expected counts per integer cell
   /// [v, v+1) and run SSBM over the cells ("treat the histogram as a data

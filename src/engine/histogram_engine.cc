@@ -1094,8 +1094,9 @@ EngineSnapshot HistogramEngine::Publish(
       telemetry_on_ ? trace_.NowNs() : start_ns;
 
   // Compile the flat query arena before the model is moved into the
-  // shared state. O(pieces) — a few microseconds against the ~120 us
-  // merge above — so the publish-latency envelope is unchanged.
+  // shared state. O(pieces): ~0.3 us for a 64-bucket snapshot against
+  // ~280 us for the merge above (perfbench ingest medians), so the
+  // publish-latency envelope is unchanged.
   CompiledSnapshot compiled;
   if (state.compile_snapshots.load(std::memory_order_relaxed)) {
     compiled = CompiledSnapshot::Compile(merged);

@@ -20,6 +20,10 @@ void ApplyOne(const UpdateOp& op, Histogram* histogram,
       truth->Delete(op.value);
       break;
     }
+    case UpdateOp::Kind::kFeedback:
+      // An observation of the data, not a change to it: the truth stays.
+      histogram->ApplyFeedback(op.value, op.hi, op.actual);
+      break;
   }
 }
 

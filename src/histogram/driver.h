@@ -21,7 +21,8 @@
 namespace dynhist {
 
 /// Replays `stream` into `histogram` and `truth`. Both see exactly the same
-/// operations in the same order.
+/// operations in the same order; a feedback op goes to
+/// Histogram::ApplyFeedback and leaves `truth` unchanged.
 void Replay(const UpdateStream& stream, Histogram* histogram,
             FrequencyVector* truth);
 

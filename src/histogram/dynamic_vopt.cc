@@ -166,9 +166,14 @@ void DynamicVOptHistogram::RebuildAllCaches() {
   for (std::size_t i = 0; i + 1 < buckets_.size(); ++i) {
     pair_rho_[i] = MergedRho(buckets_[i], buckets_[i + 1]);
   }
+  // The bucket count is n from here on: every borrowed bucket is paid back
+  // and every split funded by a merge.
+  split_tree_.Reset(buckets_.size());
+  merge_tree_.Reset(pair_rho_.size());
+  RepairTrees(0, buckets_.size() - 1);
 }
 
-void DynamicVOptHistogram::RefreshCachesAround(std::size_t index) {
+void DynamicVOptHistogram::RecomputeCachesAround(std::size_t index) {
   rho_[index] = RhoOf(buckets_[index]);
   if (index > 0) {
     pair_rho_[index - 1] = MergedRho(buckets_[index - 1], buckets_[index]);
@@ -176,6 +181,28 @@ void DynamicVOptHistogram::RefreshCachesAround(std::size_t index) {
   if (index + 1 < buckets_.size()) {
     pair_rho_[index] = MergedRho(buckets_[index], buckets_[index + 1]);
   }
+}
+
+void DynamicVOptHistogram::RefreshCachesAround(std::size_t index) {
+  RecomputeCachesAround(index);
+  RepairTrees(index, index);
+}
+
+void DynamicVOptHistogram::RepairTrees(std::size_t first, std::size_t last) {
+  for (std::size_t i = first; i <= last; ++i) {
+    if (buckets_[i].Width() >= kMinSplitWidth) {
+      split_tree_.Set(i, rho_[i]);
+    } else {
+      split_tree_.Clear(i);
+    }
+  }
+  split_tree_.Repair(first, last);
+  const std::size_t pair_first = first > 0 ? first - 1 : 0;
+  const std::size_t pair_last = std::min(last, pair_rho_.size() - 1);
+  for (std::size_t i = pair_first; i <= pair_last; ++i) {
+    merge_tree_.Set(i, pair_rho_[i]);
+  }
+  merge_tree_.Repair(pair_first, pair_last);
 }
 
 void DynamicVOptHistogram::MergePair(std::size_t m) {
@@ -193,11 +220,15 @@ void DynamicVOptHistogram::MergePair(std::size_t m) {
   buckets_.erase(buckets_.begin() + static_cast<std::ptrdiff_t>(m) + 1);
   rho_.erase(rho_.begin() + static_cast<std::ptrdiff_t>(m) + 1);
   pair_rho_.erase(pair_rho_.begin() + static_cast<std::ptrdiff_t>(m));
-  RefreshCachesAround(m);
+  RecomputeCachesAround(m);
 }
 
 void DynamicVOptHistogram::SplitAndMerge(std::size_t s, std::size_t m) {
   DH_DCHECK(m != s && m + 1 != s);
+  // Buckets [first, last] change or shift by one position; the rest keep
+  // theirs, so only their tree slots need repair.
+  const std::size_t first = std::min(s, m);
+  const std::size_t last = std::max(s, m + 1);
   // Merge first (indices of the split target shift down when the merged
   // pair precedes it).
   MergePair(m);
@@ -264,8 +295,9 @@ void DynamicVOptHistogram::SplitAndMerge(std::size_t s, std::size_t m) {
   buckets_.insert(buckets_.begin() + static_cast<std::ptrdiff_t>(s) + 1, hi);
   rho_.insert(rho_.begin() + static_cast<std::ptrdiff_t>(s) + 1, 0.0);
   pair_rho_.insert(pair_rho_.begin() + static_cast<std::ptrdiff_t>(s), kInf);
-  RefreshCachesAround(s);
-  RefreshCachesAround(s + 1);
+  RecomputeCachesAround(s);
+  RecomputeCachesAround(s + 1);
+  RepairTrees(first, last);
   ++repartitions_;
 }
 
@@ -274,34 +306,20 @@ bool DynamicVOptHistogram::MaybeRepartition() {
   // Theorem 4.1: the best split candidate is the bucket with the largest
   // rho (among splittable buckets), and the best merge candidate is the
   // adjacent pair with the smallest merged rho.
-  std::size_t best_s = buckets_.size();
-  double best_s_rho = 0.0;
-  for (std::size_t i = 0; i < buckets_.size(); ++i) {
-    if (buckets_[i].Width() < kMinSplitWidth) continue;
-    if (best_s == buckets_.size() || rho_[i] > best_s_rho) {
-      best_s = i;
-      best_s_rho = rho_[i];
-    }
-  }
-  if (best_s == buckets_.size() || best_s_rho <= 0.0) return false;
+  const auto split = split_tree_.Winner();
+  if (split.empty() || split.key <= 0.0) return false;
+  const std::size_t s = split.index;
 
-  // Best merge pair that does not involve the split bucket (the split and
-  // the merge must operate on disjoint buckets to be executable).
-  std::size_t best_m = buckets_.size();
-  double best_m_rho = kInf;
-  for (std::size_t i = 0; i + 1 < buckets_.size(); ++i) {
-    if (i == best_s || i + 1 == best_s) continue;
-    if (pair_rho_[i] < best_m_rho) {
-      best_m_rho = pair_rho_[i];
-      best_m = i;
-    }
-  }
-  if (best_m == buckets_.size()) return false;
+  // Best merge pair that does not involve the split bucket, i.e. neither
+  // pair s-1 nor pair s (the split and the merge must operate on disjoint
+  // buckets to be executable).
+  const auto merge = merge_tree_.WinnerOutside(s > 0 ? s - 1 : 0, s + 1);
+  if (merge.empty() || merge.key == kInf) return false;
 
   // Execute only if the swap strictly improves the objective
   // (min delta-rho = rho_M - rho_S < 0).
-  if (best_s_rho <= best_m_rho) return false;
-  SplitAndMerge(best_s, best_m);
+  if (split.key <= merge.key) return false;
+  SplitAndMerge(s, merge.index);
   return true;
 }
 
@@ -328,7 +346,11 @@ void DynamicVOptHistogram::InsertN(std::int64_t value, std::int64_t count) {
   if (x < buckets_.front().left || x >= buckets_.back().right) {
     // "Create a new bucket just for this point" — it borrows a bucket that
     // is immediately paid back by merging the globally best pair. A
-    // weighted group lands in the new bucket whole.
+    // weighted group lands in the new bucket whole. The merge tree still
+    // holds the pairs from before the borrow, so the best pair is its
+    // winner or the new pair, ties to the lower index.
+    const auto old_best = merge_tree_.Winner();
+    DH_DCHECK(!old_best.empty());
     VBucket nb;
     if (x < buckets_.front().left) {
       nb.left = x;
@@ -337,7 +359,12 @@ void DynamicVOptHistogram::InsertN(std::int64_t value, std::int64_t count) {
       buckets_.insert(buckets_.begin(), nb);
       rho_.insert(rho_.begin(), 0.0);
       pair_rho_.insert(pair_rho_.begin(), kInf);
-      RefreshCachesAround(0);
+      RecomputeCachesAround(0);
+      // Old pair i is now pair i+1.
+      const std::size_t m =
+          old_best.key < pair_rho_[0] ? old_best.index + 1 : 0;
+      MergePair(m);
+      RepairTrees(0, m);
     } else {
       nb.left = buckets_.back().right;
       nb.right = x + 1.0;
@@ -345,17 +372,13 @@ void DynamicVOptHistogram::InsertN(std::int64_t value, std::int64_t count) {
       buckets_.push_back(nb);
       rho_.push_back(0.0);
       pair_rho_.push_back(kInf);
-      RefreshCachesAround(buckets_.size() - 1);
+      RecomputeCachesAround(buckets_.size() - 1);
+      const std::size_t new_pair = pair_rho_.size() - 1;
+      const std::size_t m =
+          pair_rho_[new_pair] < old_best.key ? new_pair : old_best.index;
+      MergePair(m);
+      RepairTrees(m, buckets_.size() - 1);
     }
-    std::size_t best_m = 0;
-    double best = kInf;
-    for (std::size_t i = 0; i + 1 < buckets_.size(); ++i) {
-      if (pair_rho_[i] < best) {
-        best = pair_rho_[i];
-        best_m = i;
-      }
-    }
-    MergePair(best_m);
     return;
   }
   const std::size_t index = FindBucketIndex(x);

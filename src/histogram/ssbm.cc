@@ -2,10 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <queue>
+#include <functional>
 
 #include "src/common/check.h"
 #include "src/histogram/static_common.h"
+#include "src/histogram/tournament_tree.h"
 
 namespace dynhist {
 
@@ -31,8 +32,6 @@ struct MergeBucket {
   double sum_dsq = 0.0; // integral of density^2 over the covered slices
   std::int64_t prev = -1;
   std::int64_t next = -1;
-  std::uint32_t version = 0;
-  bool alive = true;
 };
 
 double SquaredDeviation(const MergeBucket& b) {
@@ -122,109 +121,81 @@ HistogramModel BuildSsbm(const std::vector<Slice>& slices,
            Deviation(b, slices, options.policy);
   };
 
-  if (options.use_quadratic_scan) {
-    // The paper's cost model: every merge rescans all surviving adjacent
-    // pairs (O(D) per merge, O(D^2) total).
-    std::size_t live = d;
-    while (live > static_cast<std::size_t>(buckets)) {
-      std::size_t best = d;
-      double best_key = 0.0;
-      for (std::int64_t i = 0; i >= 0;
-           i = bucket[static_cast<std::size_t>(i)].next) {
-        const MergeBucket& a = bucket[static_cast<std::size_t>(i)];
-        if (a.next < 0) break;
-        const MergeBucket& b = bucket[static_cast<std::size_t>(a.next)];
-        const double key = merge_key(a, b);
-        if (best == d || key < best_key) {
-          best = static_cast<std::size_t>(i);
-          best_key = key;
-        }
-      }
-      DH_CHECK(best < d);
-      MergeBucket& a = bucket[best];
-      MergeBucket& b = bucket[static_cast<std::size_t>(a.next)];
-      const MergeBucket m = Merged(a, b);
-      const std::int64_t after = b.next;
-      const std::int64_t a_prev = a.prev;
-      b.alive = false;
-      a = m;
-      a.prev = a_prev;
-      a.next = after;
-      a.alive = true;
-      if (after >= 0) {
-        bucket[static_cast<std::size_t>(after)].prev =
-            static_cast<std::int64_t>(best);
-      }
-      --live;
+  // Pair slot i holds the merge key of bucket i and its successor while
+  // both are live. Bucket ids ascend along the list, so slot order is value
+  // order and the tree's winner — the leftmost smallest key — is the pair
+  // the paper's scan picks. A merge changes three slots: the absorbed
+  // bucket's (now empty), the merged bucket's and its predecessor's.
+  internal::TournamentTree<std::less<double>> pairs;
+  const auto repair_pair = [&](std::size_t i) {
+    const MergeBucket& a = bucket[i];
+    if (a.next < 0) {
+      pairs.Clear(i);
+    } else {
+      pairs.Set(i, merge_key(a, bucket[static_cast<std::size_t>(a.next)]));
     }
-    std::vector<internal::BucketSlice> out;
+    pairs.Repair(i, i);
+  };
+  // The paper's cost model: every merge rescans all surviving adjacent
+  // pairs (O(D) per merge, O(D^2) total).
+  const auto scan = [&] {
+    std::size_t best = d;
+    double best_key = 0.0;
     for (std::int64_t i = 0; i >= 0;
          i = bucket[static_cast<std::size_t>(i)].next) {
-      const MergeBucket& b = bucket[static_cast<std::size_t>(i)];
-      out.push_back({b.first_entry, b.last_entry, IsSingular(slices, b)});
+      const MergeBucket& a = bucket[static_cast<std::size_t>(i)];
+      if (a.next < 0) break;
+      const double key =
+          merge_key(a, bucket[static_cast<std::size_t>(a.next)]);
+      if (best == d || key < best_key) {
+        best = static_cast<std::size_t>(i);
+        best_key = key;
+      }
     }
-    DH_CHECK(out.size() == static_cast<std::size_t>(buckets));
-    return internal::ModelFromPieceSlices(slices, out);
+    return best;
+  };
+  if (!options.use_quadratic_scan) {
+    pairs.Reset(d - 1);
+    for (std::size_t i = 0; i + 1 < d; ++i) {
+      pairs.Set(i, merge_key(bucket[i], bucket[i + 1]));
+    }
+    pairs.Repair(0, d - 2);
   }
 
-  // Lazy min-heap of merge candidates; stale entries (version mismatch)
-  // are discarded on pop.
-  struct Candidate {
-    double key;
-    std::size_t left_id;
-    std::uint32_t left_version;
-    std::uint32_t right_version;
-    bool operator>(const Candidate& other) const { return key > other.key; }
-  };
-  std::priority_queue<Candidate, std::vector<Candidate>, std::greater<>> heap;
-  const auto push_candidate = [&](std::size_t left_id) {
-    const MergeBucket& a = bucket[left_id];
-    if (!a.alive || a.next < 0) return;
-    const MergeBucket& b = bucket[static_cast<std::size_t>(a.next)];
-    heap.push({merge_key(a, b), left_id, a.version, b.version});
-  };
-  for (std::size_t i = 0; i + 1 < d; ++i) push_candidate(i);
-
-  std::size_t live = d;
-  while (live > static_cast<std::size_t>(buckets)) {
-    DH_CHECK(!heap.empty());
-    const Candidate c = heap.top();
-    heap.pop();
-    MergeBucket& a = bucket[c.left_id];
-    if (!a.alive || a.version != c.left_version || a.next < 0) continue;
-    MergeBucket& b = bucket[static_cast<std::size_t>(a.next)];
-    if (!b.alive || b.version != c.right_version) continue;
-
-    // Merge b into a.
-    const MergeBucket m = Merged(a, b);
-    const std::int64_t after = b.next;
-    b.alive = false;
+  for (std::size_t live = d; live > static_cast<std::size_t>(buckets);
+       --live) {
+    const std::size_t best =
+        options.use_quadratic_scan ? scan() : pairs.Winner().index;
+    DH_CHECK(best < d);
+    // Merge the successor into bucket `best`.
+    MergeBucket& a = bucket[best];
+    const auto gone = static_cast<std::size_t>(a.next);
     const std::int64_t a_prev = a.prev;
-    const std::uint32_t a_version = a.version + 1;
-    a = m;
+    const std::int64_t after = bucket[gone].next;
+    a = Merged(a, bucket[gone]);
     a.prev = a_prev;
     a.next = after;
-    a.version = a_version;
-    a.alive = true;
-    if (after >= 0) bucket[static_cast<std::size_t>(after)].prev =
-        static_cast<std::int64_t>(c.left_id);
-    --live;
-
-    if (a.prev >= 0) push_candidate(static_cast<std::size_t>(a.prev));
-    push_candidate(c.left_id);
+    if (after >= 0) {
+      bucket[static_cast<std::size_t>(after)].prev =
+          static_cast<std::int64_t>(best);
+    }
+    if (!options.use_quadratic_scan) {
+      if (gone < pairs.size()) {
+        pairs.Clear(gone);
+        pairs.Repair(gone, gone);
+      }
+      repair_pair(best);
+      if (a_prev >= 0) repair_pair(static_cast<std::size_t>(a_prev));
+    }
   }
 
-  // Export surviving buckets as slice ranges in value order.
+  // Export the surviving buckets in value order. The head is always bucket
+  // 0: merges fold right buckets into left ones.
   std::vector<internal::BucketSlice> out;
-  out.reserve(live);
-  std::int64_t id = 0;
-  while (id >= 0 && !bucket[static_cast<std::size_t>(id)].alive) ++id;
-  // The head is always bucket 0 (merges fold right buckets into left ones).
-  DH_CHECK(id == 0);
+  out.reserve(static_cast<std::size_t>(buckets));
   for (std::int64_t i = 0; i >= 0;
        i = bucket[static_cast<std::size_t>(i)].next) {
     const MergeBucket& b = bucket[static_cast<std::size_t>(i)];
-    DH_CHECK(b.alive);
     out.push_back({b.first_entry, b.last_entry, IsSingular(slices, b)});
   }
   DH_CHECK(out.size() == static_cast<std::size_t>(buckets));

@@ -5,9 +5,12 @@
 // bucket would have the smallest deviation rho_M (Eq. 4) — "merging the
 // most similar buckets first" — until only the requested number of buckets
 // remains. The paper reports SSBM quality comparable to V-Optimal at a
-// fraction of the construction cost; our implementation uses a lazy min-
-// heap over adjacent pairs (O(D log D) merges rather than the paper's
-// quadratic scan — same merge sequence, cheaper selection).
+// fraction of the construction cost. The paper's selection rescans every
+// pair per merge (O(D^2)); ours keeps the pair keys in a tournament tree
+// (tournament_tree.h) and replays the O(log D) matches above the three
+// pair slots a merge changes, O(D log D) in all. Among equal keys both
+// take the leftmost pair, so they merge the same pairs in the same order
+// and build bit-identical histograms, ties included.
 
 #ifndef DYNHIST_HISTOGRAM_SSBM_H_
 #define DYNHIST_HISTOGRAM_SSBM_H_
@@ -35,8 +38,9 @@ struct SsbmOptions {
 
   /// Select each merge by a full scan over the surviving adjacent pairs —
   /// the paper's "quadratic in the number of distinct attribute values"
-  /// cost model (§5) — instead of the default lazy min-heap. Same merge
-  /// sequence, different complexity; used by the Fig. 13 cost benchmark.
+  /// cost model (§5) — instead of the default tournament tree. Same merge
+  /// sequence and bit-identical output, different complexity; used by the
+  /// Fig. 13 cost benchmark.
   bool use_quadratic_scan = false;
 };
 

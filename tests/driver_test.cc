@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/histogram/dynamic_vopt.h"
+#include "src/histogram/st_feedback.h"
 #include "tests/test_util.h"
 
 namespace dynhist {
@@ -71,6 +72,35 @@ TEST(DriverTest, SingleCheckpointIsJustTheEnd) {
                           EXPECT_DOUBLE_EQ(fraction, 1.0);
                         });
   EXPECT_EQ(calls, 1);
+}
+
+TEST(DriverTest, FeedbackOpsReachTheHistogramButNotTheTruth) {
+  StFeedbackConfig config;
+  config.buckets = 8;
+  config.domain_lo = 0;
+  config.domain_hi = 99;
+  const UpdateStream stream = {
+      UpdateOp::Insert(10),           UpdateOp::Feedback(0, 49, 700.0),
+      UpdateOp::Insert(60),           UpdateOp::Feedback(40, 99, 20.0),
+      UpdateOp::Feedback(0, 99, 0.0), UpdateOp::Insert(61),
+  };
+  StFeedbackHistogram replayed(config);
+  FrequencyVector truth(100);
+  Replay(stream, &replayed, &truth);
+
+  StFeedbackHistogram direct(config);
+  direct.Insert(10);
+  direct.ApplyFeedback(0, 49, 700.0);
+  direct.Insert(60);
+  direct.ApplyFeedback(40, 99, 20.0);
+  direct.ApplyFeedback(0, 99, 0.0);
+  direct.Insert(61);
+
+  EXPECT_TRUE(testing::ModelsBitIdentical(replayed.Model(), direct.Model()));
+  EXPECT_EQ(replayed.TotalCount(), direct.TotalCount());
+  // Feedback observes the data; only the three inserts reach the truth.
+  EXPECT_EQ(truth.TotalCount(), 3);
+  EXPECT_EQ(truth.Count(60), 1);
 }
 
 TEST(DriverDeathTest, DeleteOfAbsentValueIsRejected) {

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <vector>
+
 #include "src/data/cluster_generator.h"
 #include "src/data/update_stream.h"
 #include "src/histogram/driver.h"
@@ -264,6 +268,160 @@ TEST(DynamicVOptTest, WeightedDeletesFastPathAndSpill) {
   EXPECT_GE(h.TotalCount(), 3.0);
   EXPECT_LE(h.TotalCount(), 5.0);
   EXPECT_TRUE(testing::ModelIsValid(h.Model()));
+}
+
+// FNV-1a 64 over the bit patterns of a model: every piece's borders and
+// count, then every bucket's piece tiling.
+std::uint64_t ModelDigest(const HistogramModel& model) {
+  std::uint64_t h = 14695981039346656037ull;
+  const auto mix = [&h](std::uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (word >> (8 * byte)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  };
+  for (const HistogramModel::Piece& p : model.pieces()) {
+    mix(std::bit_cast<std::uint64_t>(p.left));
+    mix(std::bit_cast<std::uint64_t>(p.right));
+    mix(std::bit_cast<std::uint64_t>(p.count));
+  }
+  for (const HistogramModel::BucketRef& b : model.buckets()) {
+    mix(b.first_piece);
+    mix(b.num_pieces);
+    mix(b.singular ? 1u : 0u);
+  }
+  return h;
+}
+
+std::vector<std::int64_t> PinData(std::uint64_t seed) {
+  return GenerateClusterData({.num_points = 6'000,
+                              .domain_size = 1'001,
+                              .num_clusters = 60,
+                              .seed = seed});
+}
+
+// The replay streams of the bit-identity pin. Each exercises one branch of
+// the split/merge selection.
+void PinRandom(DynamicVOptHistogram& h) {
+  Rng rng(31);
+  for (const UpdateOp& op : MakeRandomInsertStream(PinData(30), rng)) {
+    h.Insert(op.value);
+  }
+}
+
+// Ascending values keep landing right of the support: the out-of-range
+// borrow-and-merge path, interleaved with in-range repartitions.
+void PinSorted(DynamicVOptHistogram& h) {
+  for (const UpdateOp& op : MakeSortedInsertStream(PinData(32))) {
+    h.Insert(op.value);
+  }
+}
+
+// §7.3.1 mix (25% deletes of live tuples), then groups of deletes that
+// drain a value's bucket and spill outward to the nearest buckets with mass
+// (§7.3), mixed with weighted inserts.
+void PinDeletes(DynamicVOptHistogram& h) {
+  Rng rng(33);
+  for (const UpdateOp& op : MakeMixedStream(PinData(34), 0.25, rng)) {
+    if (op.kind == UpdateOp::Kind::kInsert) {
+      h.Insert(op.value);
+    } else {
+      h.Delete(op.value, 1);
+    }
+  }
+  for (int i = 0; i < 600; ++i) {
+    const std::int64_t v = rng.UniformInt(0, 1'000);
+    if (i % 50 == 0) {
+      h.DeleteN(v, 120);
+    } else if (i % 2 == 0) {
+      h.InsertN(v, static_cast<std::int64_t>(1 + rng.UniformInt(4)));
+    } else {
+      h.Delete(v, 1);
+    }
+  }
+}
+
+// Inserts below and above the current support, single and weighted,
+// between in-range inserts.
+void PinOutOfRange(DynamicVOptHistogram& h) {
+  Rng rng(35);
+  std::int64_t lo = 400;
+  std::int64_t hi = 600;
+  for (int i = 0; i < 8'000; ++i) {
+    switch (i % 10) {
+      case 3:
+        lo -= 1 + static_cast<std::int64_t>(rng.UniformInt(3));
+        h.Insert(lo);
+        break;
+      case 7:
+        hi += 1 + static_cast<std::int64_t>(rng.UniformInt(3));
+        h.Insert(hi);
+        break;
+      case 9:
+        if (i % 20 == 9) {
+          lo -= 2;
+          h.InsertN(lo, 4);
+        } else {
+          hi += 2;
+          h.InsertN(hi, 4);
+        }
+        break;
+      default:
+        h.Insert(rng.UniformInt(lo, hi));
+    }
+  }
+}
+
+struct PinCase {
+  const char* stream;
+  void (*replay)(DynamicVOptHistogram&);
+  std::int64_t buckets;
+  DeviationPolicy policy;
+  int sub_buckets;
+  std::uint64_t digest;
+  std::int64_t repartitions;
+};
+
+TEST(DynamicVOptTest, SeededStreamsReplayBitIdentically) {
+  // Pinned outputs of the Theorem 4.1 selection (largest-rho split,
+  // smallest merged-rho pair, ties to the lowest index). Any change to the
+  // selection order, its tie-breaking or the cached rho arithmetic moves a
+  // digest; a faster selection must leave every line unchanged.
+  constexpr auto kAbs = DeviationPolicy::kAbsolute;
+  constexpr auto kSq = DeviationPolicy::kSquared;
+  const PinCase cases[] = {
+      {"random", PinRandom, 64, kAbs, 2, 0xe34bc32a95b2aa67ull, 838},
+      {"random", PinRandom, 64, kAbs, 4, 0xbb6a22b6208382d1ull, 957},
+      {"random", PinRandom, 64, kSq, 2, 0x506bbbe19432e059ull, 646},
+      {"random", PinRandom, 64, kSq, 4, 0xd602f86f881806cbull, 1183},
+      {"sorted", PinSorted, 50, kAbs, 2, 0x8d8537f1a5b23a3cull, 180},
+      {"sorted", PinSorted, 50, kAbs, 4, 0x9ce9a45a2990cf69ull, 215},
+      {"sorted", PinSorted, 50, kSq, 2, 0xe5601023d4f411c4ull, 185},
+      {"sorted", PinSorted, 50, kSq, 4, 0xde5337c54ffa504ull, 243},
+      {"deletes", PinDeletes, 33, kAbs, 2, 0x146eb444e1f4162eull, 674},
+      {"deletes", PinDeletes, 33, kAbs, 4, 0x2d0fc299103bc9f9ull, 979},
+      {"deletes", PinDeletes, 33, kSq, 2, 0x9388ed6f9bb03f0ull, 547},
+      {"deletes", PinDeletes, 33, kSq, 4, 0x253daf0544a06311ull, 974},
+      {"out-of-range", PinOutOfRange, 17, kAbs, 2, 0xbf1dcd15eb953caaull, 214},
+      {"out-of-range", PinOutOfRange, 17, kAbs, 4, 0xc828e2389445a844ull, 306},
+      {"out-of-range", PinOutOfRange, 17, kSq, 2, 0xd7154012734f2fa6ull, 387},
+      {"out-of-range", PinOutOfRange, 17, kSq, 4, 0x98d8955e75015f65ull, 1903},
+  };
+  for (const PinCase& c : cases) {
+    DynamicVOptConfig config;
+    config.buckets = c.buckets;
+    config.policy = c.policy;
+    config.sub_buckets = c.sub_buckets;
+    DynamicVOptHistogram h(config);
+    c.replay(h);
+    SCOPED_TRACE(::testing::Message()
+                 << c.stream << " " << h.Name() << " sub_buckets "
+                 << c.sub_buckets << ": digest 0x" << std::hex
+                 << ModelDigest(h.Model()) << std::dec << ", repartitions "
+                 << h.RepartitionCount());
+    EXPECT_EQ(ModelDigest(h.Model()), c.digest);
+    EXPECT_EQ(h.RepartitionCount(), c.repartitions);
+  }
 }
 
 TEST(DynamicVOptDeathTest, RejectsBadConfig) {

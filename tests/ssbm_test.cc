@@ -96,28 +96,61 @@ TEST(SsbmTest, SingleEntryStaysSingular) {
   EXPECT_NEAR(KsStatistic(data, model), 0.0, 1e-12);
 }
 
-TEST(SsbmTest, QuadraticScanMatchesHeap) {
-  // The O(D^2) paper-style selection and the lazy heap must produce the
-  // same merge sequence (up to ties), hence near-identical histograms.
+// Every piece and every bucket of `a` equals `b` bit for bit.
+void ExpectSameModel(const HistogramModel& a, const HistogramModel& b) {
+  ASSERT_EQ(a.NumPieces(), b.NumPieces());
+  for (std::size_t i = 0; i < a.NumPieces(); ++i) {
+    EXPECT_EQ(a.pieces()[i].left, b.pieces()[i].left) << "piece " << i;
+    EXPECT_EQ(a.pieces()[i].right, b.pieces()[i].right) << "piece " << i;
+    EXPECT_EQ(a.pieces()[i].count, b.pieces()[i].count) << "piece " << i;
+  }
+  EXPECT_TRUE(a.buckets() == b.buckets());
+}
+
+TEST(SsbmTest, QuadraticScanMatchesTree) {
+  // The O(D^2) paper-style selection and the tournament tree pick the same
+  // pair at every step, so the histograms are identical.
   Rng rng(6);
   std::vector<ValueFreq> entries;
   std::int64_t v = 0;
   for (int i = 0; i < 150; ++i) {
     v += 1 + static_cast<std::int64_t>(rng.UniformInt(4));
-    // Fractional frequencies make key ties measure-zero.
     entries.push_back({v, 1.0 + rng.UniformDouble() * 50.0});
   }
-  SsbmOptions heap_options;
   SsbmOptions scan_options;
   scan_options.use_quadratic_scan = true;
-  const auto heap_model = BuildSsbm(entries, 12, heap_options);
-  const auto scan_model = BuildSsbm(entries, 12, scan_options);
-  ASSERT_EQ(heap_model.NumBuckets(), scan_model.NumBuckets());
-  ASSERT_EQ(heap_model.NumPieces(), scan_model.NumPieces());
-  for (std::size_t i = 0; i < heap_model.NumPieces(); ++i) {
-    EXPECT_DOUBLE_EQ(heap_model.pieces()[i].left, scan_model.pieces()[i].left);
-    EXPECT_NEAR(heap_model.pieces()[i].count, scan_model.pieces()[i].count,
-                1e-9);
+  ExpectSameModel(BuildSsbm(entries, 12), BuildSsbm(entries, 12, scan_options));
+}
+
+TEST(SsbmTest, QuadraticScanMatchesTreeOnExactTies) {
+  // Integer frequencies 1-3 over consecutive values make many merge keys
+  // tie exactly. The paper's scan takes the leftmost of the tied pairs; the
+  // default selection must take the same one, under every policy and key.
+  for (const DeviationPolicy policy :
+       {DeviationPolicy::kSquared, DeviationPolicy::kAbsolute}) {
+    for (const SsbmOptions::MergeKey key :
+         {SsbmOptions::MergeKey::kMergedDeviation,
+          SsbmOptions::MergeKey::kDeviationIncrease}) {
+      for (std::uint64_t seed = 1; seed <= 50; ++seed) {
+        SCOPED_TRACE(::testing::Message()
+                     << "seed " << seed << " policy "
+                     << static_cast<int>(policy) << " key "
+                     << static_cast<int>(key));
+        Rng rng(seed);
+        std::vector<ValueFreq> entries;
+        for (std::int64_t value = 0; value < 200; ++value) {
+          entries.push_back(
+              {value, static_cast<double>(1 + rng.UniformInt(3))});
+        }
+        SsbmOptions options;
+        options.policy = policy;
+        options.merge_key = key;
+        SsbmOptions scan_options = options;
+        scan_options.use_quadratic_scan = true;
+        ExpectSameModel(BuildSsbm(entries, 16, options),
+                        BuildSsbm(entries, 16, scan_options));
+      }
+    }
   }
 }
 
