@@ -145,8 +145,8 @@ double PercentileNs(std::vector<double>& sample, double q) {
 // (publishes), an async trip enqueues, coalesces, or is rejected. The
 // async counter must NOT include publishes — the worker bumps that
 // concurrently, and the unlucky insert during which a merge *finished*
-// (usually one the worker preempted on this 1-core box) would be
-// misflagged as a boundary op. With a single writer each counter
+// (usually one the worker preempted: see the live-worker note in main)
+// would be misflagged as a boundary op. With a single writer each counter
 // advances exactly when an insert trips the cadence in its mode.
 std::uint64_t TripCount(const HistogramEngine& engine, bool async) {
   const auto stats = engine.Stats();
@@ -384,12 +384,15 @@ int main(int argc, char** argv) {
   //   - manual-pump (merge_workers=0, queue drained untimed after the
   //     run): the writer-visible publication cost in isolation — the
   //     number a spare core would deliver, and the one the >=5x gate
-  //     enforces (it measures the pipeline, not this container);
-  //   - live worker (merge_workers=1), reported ungated: on this 1-core
-  //     container the condvar wake usually preempts the writer at the
-  //     boundary (the fresh worker has the lower vruntime) and the
-  //     boundary op pays most of the merge anyway, so the series mostly
-  //     documents the scheduler, not the engine.
+  //     enforces (it measures the pipeline, not the host's scheduler);
+  //   - live worker (merge_workers=1), reported ungated: the scheduler
+  //     tends to run the woken worker on the writer's core even when
+  //     other cores are idle, and the writer then waits out the merge.
+  //     On a 4-core VM, --quick measured 350 us to 1.6 ms boundary p99
+  //     here against 8-12 us for manual pump; with the writer and the
+  //     worker pinned to disjoint cores a loop of the same shape
+  //     measured 8-16 us. The series documents the scheduler, not the
+  //     engine.
   EngineOptions sync_lat = sharded;
   sync_lat.snapshot_every =
       std::max<std::int64_t>(64, options.points / 128);
@@ -474,7 +477,7 @@ int main(int argc, char** argv) {
   const QueryPlan plan(plan_queries);
 
   // Best-of-3 interleaved, the same discipline as the telemetry gate: on
-  // a noisy 1-core container each mode's best run is its attainable rate,
+  // a noisy shared host each mode's best run is its attainable rate,
   // so the ratio compares the code paths rather than scheduler luck. The
   // reported p99 is the one from each mode's best run.
   double walk_p99 = 0.0, engine_p99 = 0.0, arena_p99 = 0.0;
@@ -549,9 +552,9 @@ int main(int argc, char** argv) {
   // counter settle per span), and against the held snapshot's arena (the
   // floor the lease path chases). Single-reader numbers are best-of-3
   // interleaved and gated; 2- and 4-reader runs extend each series to
-  // show the scaling shape (on this 1-core container that is timeslicing,
-  // not parallelism — the interesting signal is that the handle path does
-  // not degrade, having no shared cache line to bounce).
+  // show the scaling shape (windows this short understate parallel
+  // scaling; the signal is that the handle path does not degrade, having
+  // no shared cache line to bounce).
   constexpr std::size_t kSpan = 64;
   std::vector<engine::RangeQuery> spans(plan.lo.size());
   for (std::size_t q = 0; q < plan.lo.size(); ++q) {

@@ -13,7 +13,9 @@
 # 4-shard merged model drifts more than 10% from unmerged), and finally
 # the multi-process loopback smoke test
 # (scripts/loopback_smoke.sh: real server + client over 127.0.0.1 with
-# bit-identical and idempotence gates).
+# bit-identical and idempotence gates) and the repository benchmark's
+# self-test (perfbench/run.py --self-test: exits nonzero when a
+# workload's output checks fail).
 #
 # Usage: scripts/check.sh [--bench-json] [--metrics-json] [build_dir]
 #   (default build dir: build)
@@ -117,6 +119,11 @@ run_bench "$BUILD_DIR/micro_st_feedback" --quick
 
 echo "== loopback smoke (server + client over 127.0.0.1) =="
 scripts/loopback_smoke.sh "$BUILD_DIR"
+
+echo "== benchmark self-test (perfbench output checks) =="
+# Builds perfbench into .bench_build/ on first use, then runs its
+# self-tests and a short pass of every workload.
+python3 perfbench/run.py --self-test
 
 if [[ "$BENCH_JSON" == 1 ]]; then
   echo "== bench series written to BENCH_PR10.json =="

@@ -67,9 +67,10 @@ struct EngineOptions {
   /// ignored — `shard_buckets` sizes every shard kind uniformly.
   StFeedbackConfig st_feedback{};
 
-  /// Sort each drained shard batch by value and collapse duplicate values
-  /// into weighted InsertN/DeleteN calls (inserts before deletes per
-  /// value), so batch cost tracks distinct values rather than operations —
+  /// Collapse duplicate values in each drained shard batch into weighted
+  /// InsertN/DeleteN calls (inserts before deletes per value, values in
+  /// first-occurrence order, grouped in one pass through a small hash
+  /// table), so batch cost tracks distinct values rather than operations —
   /// a large win for skewed streams. Coalescing reorders operations across
   /// values inside one batch and takes weighted maintenance steps, so the
   /// exact bucket-border trajectory differs from a one-by-one replay
@@ -91,8 +92,9 @@ struct EngineOptions {
   /// src/histogram/compiled_snapshot.h) so queries run two branch-free
   /// lower_bound lookups instead of walking model pieces. Costs O(pieces)
   /// at each publish: ~0.3 us for a 64-bucket snapshot, against a
-  /// loaded publish of ~410 us (perfbench ingest medians: merge ~280
-  /// us, of which the SSBM reduce takes ~125 us unloaded).
+  /// loaded publish of ~405 us (perfbench ingest medians: export ~110
+  /// us, merge ~295 us, of which the SSBM reduce takes ~115-145 us
+  /// unloaded).
   /// False keeps the piece-walk query path (the bench baseline; answers
   /// are bit-identical either way).
   bool compile_snapshots = true;

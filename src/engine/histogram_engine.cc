@@ -44,7 +44,7 @@ std::string EngineStats::ToJson() const {
   std::snprintf(
       buf, sizeof buf,
       "{\"keys\":%" PRIu64 ",\"inserts\":%" PRIu64 ",\"deletes\":%" PRIu64
-      ",\"feedbacks\":%" PRIu64
+      ",\"feedbacks\":%" PRIu64 ",\"rejected_feedbacks\":%" PRIu64
       ",\"queries\":%" PRIu64 ",\"fallback_queries\":%" PRIu64
       ",\"unknown_queries\":%" PRIu64 ",\"lease_hits\":%" PRIu64
       ",\"lease_misses\":%" PRIu64 ",\"publishes\":%" PRIu64
@@ -53,8 +53,8 @@ std::string EngineStats::ToJson() const {
       ",\"publish_skipped\":%" PRIu64 ",\"publish_nanos\":%" PRIu64
       ",\"max_publish_nanos\":%" PRIu64 ",\"queue_wait_nanos\":%" PRIu64
       ",\"snapshot_epoch\":%" PRIu64 "}",
-      keys, inserts, deletes, feedbacks, queries, fallback_queries,
-      unknown_queries,
+      keys, inserts, deletes, feedbacks, rejected_feedbacks, queries,
+      fallback_queries, unknown_queries,
       lease_hits, lease_misses, publishes, async_publishes, publish_queued,
       publish_coalesced, publish_rejected, publish_skipped, publish_nanos,
       max_publish_nanos, queue_wait_nanos, snapshot_epoch);
@@ -201,6 +201,14 @@ void HistogramEngine::RegisterKeyMetrics(KeyState& state) {
           c.deletes);
   counter("dynhist_key_feedbacks_total",
           "RecordFeedback() observations accepted", c.feedbacks);
+  metrics_.AddCallback(
+      "dynhist_key_rejected_ops_total",
+      "Caller operations dropped as invalid input, by reason",
+      telemetry::MetricKind::kCounter,
+      {{"key", state.name}, {"reason", "feedback"}},
+      [&cell = c.rejected_feedbacks] {
+        return static_cast<double>(cell.load(std::memory_order_acquire));
+      });
   counter("dynhist_key_queries_total", "Snapshot/estimate reads served",
           c.queries);
   counter("dynhist_key_fallback_queries_total",
@@ -360,9 +368,15 @@ void HistogramEngine::RecordFeedback(std::string_view key, std::int64_t lo,
 void HistogramEngine::RecordFeedback(const KeyHandle& handle, std::int64_t lo,
                                      std::int64_t hi, double actual) {
   DH_CHECK(handle.valid());
-  DH_CHECK(lo <= hi);
-  DH_CHECK(actual >= 0.0);
   KeyState& state = *handle.state_;
+  // Caller input, not an invariant: a bad observation is dropped and
+  // counted, never allowed to abort the process (every key would die
+  // with it) or to reach a shard histogram.
+  if (lo > hi || !(actual >= 0.0) || std::isinf(actual)) {
+    state.counters.rejected_feedbacks.fetch_add(1,
+                                                std::memory_order_release);
+    return;
+  }
 
   // Convergence telemetry first, against the snapshot the optimizer
   // would have consulted for this predicate (a never-published key reads
@@ -660,6 +674,8 @@ void HistogramEngine::AccumulateStats(const KeyState& state,
   stats->inserts += c.inserts.load(std::memory_order_acquire);
   stats->deletes += c.deletes.load(std::memory_order_acquire);
   stats->feedbacks += c.feedbacks.load(std::memory_order_acquire);
+  stats->rejected_feedbacks +=
+      c.rejected_feedbacks.load(std::memory_order_acquire);
   stats->queries += c.queries.load(std::memory_order_acquire);
   stats->fallback_queries +=
       c.fallback_queries.load(std::memory_order_acquire);

@@ -95,6 +95,9 @@ struct EngineStats {
   std::uint64_t inserts = 0;     ///< Insert() calls accepted
   std::uint64_t deletes = 0;     ///< Delete() calls accepted
   std::uint64_t feedbacks = 0;   ///< RecordFeedback() calls accepted
+  /// RecordFeedback() calls dropped as invalid caller input: lo > hi, or
+  /// an `actual` that is negative, NaN or infinite.
+  std::uint64_t rejected_feedbacks = 0;
   std::uint64_t queries = 0;     ///< estimate / snapshot reads served
   std::uint64_t fallback_queries = 0;  ///< estimate reads that walked model
                                        ///< pieces because the published
@@ -185,7 +188,10 @@ class HistogramEngine {
   /// cardinality. Feedback rides the normal batch buffers (coalesced
   /// like inserts — see EngineShard), counts one update toward the
   /// publish cadence, and is a no-op on data-driven backends (DC/DVO/
-  /// DADO ignore it), so it is safe against any key. Thread-safe.
+  /// DADO ignore it), so it is safe against any key. An observation with
+  /// lo > hi, or with a negative, NaN or infinite `actual`, is dropped
+  /// and counted in EngineStats::rejected_feedbacks and
+  /// dynhist_key_rejected_ops_total{reason="feedback"}. Thread-safe.
   void RecordFeedback(std::string_view key, std::int64_t lo, std::int64_t hi,
                       double actual);
   void RecordFeedback(const KeyHandle& handle, std::int64_t lo,

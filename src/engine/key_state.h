@@ -33,6 +33,7 @@ struct KeyCounters {
   std::atomic<std::uint64_t> inserts{0};
   std::atomic<std::uint64_t> deletes{0};
   std::atomic<std::uint64_t> feedbacks{0};
+  std::atomic<std::uint64_t> rejected_feedbacks{0};
   std::atomic<std::uint64_t> queries{0};
   std::atomic<std::uint64_t> fallback_queries{0};
   std::atomic<std::uint64_t> lease_hits{0};

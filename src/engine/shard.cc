@@ -1,6 +1,7 @@
 #include "src/engine/shard.h"
 
 #include <algorithm>
+#include <bit>
 #include <utility>
 
 #include "src/common/check.h"
@@ -113,7 +114,7 @@ void EngineShard::ApplyLocked(const std::vector<UpdateOp>& batch) {
     const auto chunk = static_cast<std::size_t>(batch_size_);
     for (std::size_t begin = 0; begin < batch.size(); begin += chunk) {
       const std::size_t end = std::min(batch.size(), begin + chunk);
-      // Feedback ops must not enter the value-sorted data coalesce:
+      // Feedback ops must not enter the by-value data coalesce:
       // segment the chunk into maximal data / feedback runs, coalescing
       // each kind its own way while preserving their relative order (the
       // feedback update rule reads the frequencies data ops write).
@@ -163,34 +164,35 @@ void EngineShard::CoalesceAndApply(const std::vector<UpdateOp>& batch,
   // its deletes preserves the per-producer insert-before-delete ordering
   // the engine guarantees per value (cross-value order inside a batch is
   // not observable through the histogram's value-independent maintenance).
-  idx_scratch_.clear();
-  for (std::size_t i = begin; i < end; ++i) {
-    idx_scratch_.push_back(static_cast<std::uint32_t>(i));
-  }
-  std::sort(idx_scratch_.begin(), idx_scratch_.end(),
-            [&](std::uint32_t a, std::uint32_t b) {
-              if (batch[a].value != batch[b].value) {
-                return batch[a].value < batch[b].value;
-              }
-              return a < b;
-            });
+  //
+  // One pass builds the groups: a value's group is appended at its first
+  // occurrence, so they come out in first-occurrence order, and a linear-
+  // probing table at load factor <= 1/2 finds the group of a repeat.
+  const std::size_t slots = std::bit_ceil(2 * (end - begin));
+  const int shift = 64 - std::countr_zero(slots);
+  slot_scratch_.assign(slots, 0);
   group_scratch_.clear();
-  std::size_t i = 0;
-  while (i < idx_scratch_.size()) {
-    const std::int64_t value = batch[idx_scratch_[i]].value;
-    Group group{value, idx_scratch_[i], 0, 0};
-    for (; i < idx_scratch_.size() && batch[idx_scratch_[i]].value == value;
-         ++i) {
-      if (batch[idx_scratch_[i]].kind == UpdateOp::Kind::kInsert) {
-        ++group.inserts;
-      } else {
-        ++group.deletes;
-      }
+  for (std::size_t i = begin; i < end; ++i) {
+    const UpdateOp& op = batch[i];
+    // Fibonacci hashing: the product's top bits index the table.
+    std::size_t slot = static_cast<std::size_t>(
+        (static_cast<std::uint64_t>(op.value) * 0x9e3779b97f4a7c15ULL) >>
+        shift);
+    while (slot_scratch_[slot] != 0 &&
+           group_scratch_[slot_scratch_[slot] - 1].value != op.value) {
+      slot = (slot + 1) & (slots - 1);
     }
-    group_scratch_.push_back(group);
+    if (slot_scratch_[slot] == 0) {
+      group_scratch_.push_back(Group{op.value, 0, 0});
+      slot_scratch_[slot] = static_cast<std::uint32_t>(group_scratch_.size());
+    }
+    Group& group = group_scratch_[slot_scratch_[slot] - 1];
+    if (op.kind == UpdateOp::Kind::kInsert) {
+      ++group.inserts;
+    } else {
+      ++group.deletes;
+    }
   }
-  std::sort(group_scratch_.begin(), group_scratch_.end(),
-            [](const Group& a, const Group& b) { return a.first < b.first; });
   for (const Group& g : group_scratch_) {
     const std::int64_t run = g.inserts + g.deletes;
     if (run >= 2 && telemetry_.coalesce_run != nullptr) {

@@ -89,9 +89,9 @@ class EngineShard {
   // std::unique_lock, passed to document the protocol). With coalescing
   // enabled, duplicate values collapse into weighted InsertN/DeleteN
   // calls (inserts first per value, groups in first-occurrence order, via
-  // a sorted index scratch — the batch itself is not reordered), so the
-  // histogram pays one maintenance step per distinct value; otherwise ops
-  // replay one by one in push order.
+  // one pass through a value-to-group hash table — the batch itself is
+  // not reordered), so the histogram pays one maintenance step per
+  // distinct value; otherwise ops replay one by one in push order.
   void ApplyLocked(const std::vector<UpdateOp>& batch);
 
   // Coalesces batch[begin, end) by value and applies the weighted groups
@@ -116,17 +116,17 @@ class EngineShard {
   std::unique_ptr<Histogram> histogram_;   // guarded by hist_mu_
   std::atomic<std::uint64_t> applied_ops_{0};
 
-  // One coalesced group: `inserts`/`deletes` operations on `value`, first
-  // seen at batch position `first`.
+  // One coalesced group: `inserts`/`deletes` operations on `value`.
   struct Group {
     std::int64_t value = 0;
-    std::uint32_t first = 0;
     std::int64_t inserts = 0;
     std::int64_t deletes = 0;
   };
-  // Coalescing scratch, reused across batches (guarded by hist_mu_).
-  std::vector<std::uint32_t> idx_scratch_;
+  // Coalescing scratch, reused across batches (guarded by hist_mu_): the
+  // groups in first-occurrence order, and the open-addressing table that
+  // maps a value to its group (slot = group index + 1, 0 = empty).
   std::vector<Group> group_scratch_;
+  std::vector<std::uint32_t> slot_scratch_;
 };
 
 }  // namespace dynhist::engine

@@ -56,34 +56,45 @@ int DynamicVOptHistogram::FragmentsOf(const VBucket& b, Fragment* out) const {
   return k;
 }
 
-double DynamicVOptHistogram::RhoOf(const VBucket& b) const {
+DynamicVOptHistogram::Shape DynamicVOptHistogram::ShapeOf(
+    const VBucket& b) const {
   Fragment frags[kMaxSubBuckets];
-  const int n = FragmentsOf(b, frags);
-  if (n <= 1) return 0.0;
+  Shape shape;
+  shape.n = FragmentsOf(b, frags);
+  for (int i = 0; i < shape.n; ++i) {
+    shape.count[i] = frags[i].count;
+    shape.width[i] = frags[i].right - frags[i].left;
+    shape.density[i] = shape.count[i] / shape.width[i];
+  }
+  return shape;
+}
+
+double DynamicVOptHistogram::RhoOf(const VBucket& b,
+                                   const Shape& shape) const {
+  if (shape.n <= 1) return 0.0;
   const double w = b.Width();
   const double avg = b.Total(config_.sub_buckets) / w;
   double rho = 0.0;
-  for (int i = 0; i < n; ++i) {
-    const double fw = frags[i].right - frags[i].left;
-    rho += Dev(config_.policy, fw, frags[i].count / fw, avg);
+  for (int i = 0; i < shape.n; ++i) {
+    rho += Dev(config_.policy, shape.width[i], shape.density[i], avg);
   }
   return rho;
 }
 
-double DynamicVOptHistogram::MergedRho(const VBucket& a,
-                                       const VBucket& b) const {
-  Fragment frags[2 * kMaxSubBuckets];
-  const int na = FragmentsOf(a, frags);
-  const int nb = FragmentsOf(b, frags + na);
-  const int n = na + nb;
+double DynamicVOptHistogram::MergedRho(const VBucket& a, const Shape& sa,
+                                       const VBucket& b,
+                                       const Shape& sb) const {
   const double w = b.right - a.left;
   double total = 0.0;
-  for (int i = 0; i < n; ++i) total += frags[i].count;
+  for (int i = 0; i < sa.n; ++i) total += sa.count[i];
+  for (int i = 0; i < sb.n; ++i) total += sb.count[i];
   const double avg = total / w;
   double rho = 0.0;
-  for (int i = 0; i < n; ++i) {
-    const double fw = frags[i].right - frags[i].left;
-    rho += Dev(config_.policy, fw, frags[i].count / fw, avg);
+  for (int i = 0; i < sa.n; ++i) {
+    rho += Dev(config_.policy, sa.width[i], sa.density[i], avg);
+  }
+  for (int i = 0; i < sb.n; ++i) {
+    rho += Dev(config_.policy, sb.width[i], sb.density[i], avg);
   }
   return rho;
 }
@@ -152,19 +163,30 @@ void DynamicVOptHistogram::FinishLoadingIfReady() {
 
 std::size_t DynamicVOptHistogram::FindBucketIndex(double x) const {
   DH_DCHECK(!buckets_.empty());
-  const auto it = std::upper_bound(
-      buckets_.begin(), buckets_.end(), x,
-      [](double v, const VBucket& b) { return v < b.left; });
-  if (it == buckets_.begin()) return 0;
-  return static_cast<std::size_t>(it - buckets_.begin()) - 1;
+  // The last bucket whose left border is not above x, or 0 when x lies
+  // left of them all: upper_bound's position minus one. The halving search
+  // keeps the answer in [base, base + n); its loop length depends on the
+  // bucket count alone and the comparison selects with a conditional move,
+  // so a lookup takes no data-dependent branch.
+  const VBucket* base = buckets_.data();
+  for (std::size_t n = buckets_.size(); n > 1;) {
+    const std::size_t half = n / 2;
+    base = x < base[half].left ? base : base + half;
+    n -= half;
+  }
+  return static_cast<std::size_t>(base - buckets_.data());
 }
 
 void DynamicVOptHistogram::RebuildAllCaches() {
   rho_.resize(buckets_.size());
   pair_rho_.assign(buckets_.size() > 0 ? buckets_.size() - 1 : 0, kInf);
-  for (std::size_t i = 0; i < buckets_.size(); ++i) rho_[i] = RhoOf(buckets_[i]);
-  for (std::size_t i = 0; i + 1 < buckets_.size(); ++i) {
-    pair_rho_[i] = MergedRho(buckets_[i], buckets_[i + 1]);
+  for (std::size_t i = 0; i < buckets_.size(); ++i) {
+    const Shape shape = ShapeOf(buckets_[i]);
+    rho_[i] = RhoOf(buckets_[i], shape);
+    if (i + 1 < buckets_.size()) {
+      pair_rho_[i] = MergedRho(buckets_[i], shape, buckets_[i + 1],
+                               ShapeOf(buckets_[i + 1]));
+    }
   }
   // The bucket count is n from here on: every borrowed bucket is paid back
   // and every split funded by a merge.
@@ -174,12 +196,16 @@ void DynamicVOptHistogram::RebuildAllCaches() {
 }
 
 void DynamicVOptHistogram::RecomputeCachesAround(std::size_t index) {
-  rho_[index] = RhoOf(buckets_[index]);
+  const VBucket& b = buckets_[index];
+  const Shape shape = ShapeOf(b);
+  rho_[index] = RhoOf(b, shape);
   if (index > 0) {
-    pair_rho_[index - 1] = MergedRho(buckets_[index - 1], buckets_[index]);
+    const VBucket& prev = buckets_[index - 1];
+    pair_rho_[index - 1] = MergedRho(prev, ShapeOf(prev), b, shape);
   }
   if (index + 1 < buckets_.size()) {
-    pair_rho_[index] = MergedRho(buckets_[index], buckets_[index + 1]);
+    const VBucket& next = buckets_[index + 1];
+    pair_rho_[index] = MergedRho(b, shape, next, ShapeOf(next));
   }
 }
 

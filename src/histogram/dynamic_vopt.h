@@ -15,8 +15,8 @@
 // slots of the bucket it touched and of that bucket's two pairs, O(log n);
 // a split+merge repairs the slots between its two positions. Only a
 // repartition or an out-of-range insert pays O(n), to shift the bucket
-// vectors. One DADO Insert/Delete at n = 64 takes a median ~185 ns on
-// the perfbench ingest workload. The pair executes only when it strictly
+// vectors. One DADO Insert/Delete at n = 64 takes a median ~180-200 ns
+// on the perfbench ingest workload. The pair executes only when it strictly
 // lowers the objective (min delta-rho < 0; the paper's "most aggressive"
 // upper bound of 0).
 //
@@ -108,6 +108,19 @@ class DynamicVOptHistogram final : public Histogram {
     double left, right, count;
   };
 
+  // A bucket's fragments as rho reads them: each fragment's mass, width
+  // and density, in fragment order. An update derives the changed
+  // bucket's shape once and shares it between the bucket's rho and both
+  // merged-pair rhos. Only the first n entries are set: zero-filling the
+  // rest compiles to a rep stos per shape, which measurably slows the
+  // update step.
+  struct Shape {
+    int n = 0;
+    double count[kMaxSubBuckets];
+    double width[kMaxSubBuckets];
+    double density[kMaxSubBuckets];
+  };
+
   void FinishLoadingIfReady();
   std::size_t FindBucketIndex(double x) const;
   int SubIndexFor(const VBucket& b, std::int64_t value) const;
@@ -117,8 +130,11 @@ class DynamicVOptHistogram final : public Histogram {
   // artifact of the cell-center rule and carries no information).
   int FragmentsOf(const VBucket& b, Fragment* out) const;
 
-  double RhoOf(const VBucket& b) const;
-  double MergedRho(const VBucket& a, const VBucket& b) const;
+  Shape ShapeOf(const VBucket& b) const;
+  double RhoOf(const VBucket& b, const Shape& shape) const;
+  // Rho of the bucket [a.left, b.right) that merging a and b would make.
+  double MergedRho(const VBucket& a, const Shape& sa, const VBucket& b,
+                   const Shape& sb) const;
 
   // Recomputes rho_[index] and the merge-pair caches touching `index`;
   // RefreshCachesAround also repairs their tree slots.

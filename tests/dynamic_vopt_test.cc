@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -270,28 +269,7 @@ TEST(DynamicVOptTest, WeightedDeletesFastPathAndSpill) {
   EXPECT_TRUE(testing::ModelIsValid(h.Model()));
 }
 
-// FNV-1a 64 over the bit patterns of a model: every piece's borders and
-// count, then every bucket's piece tiling.
-std::uint64_t ModelDigest(const HistogramModel& model) {
-  std::uint64_t h = 14695981039346656037ull;
-  const auto mix = [&h](std::uint64_t word) {
-    for (int byte = 0; byte < 8; ++byte) {
-      h ^= (word >> (8 * byte)) & 0xffu;
-      h *= 1099511628211ull;
-    }
-  };
-  for (const HistogramModel::Piece& p : model.pieces()) {
-    mix(std::bit_cast<std::uint64_t>(p.left));
-    mix(std::bit_cast<std::uint64_t>(p.right));
-    mix(std::bit_cast<std::uint64_t>(p.count));
-  }
-  for (const HistogramModel::BucketRef& b : model.buckets()) {
-    mix(b.first_piece);
-    mix(b.num_pieces);
-    mix(b.singular ? 1u : 0u);
-  }
-  return h;
-}
+using testing::ModelDigest;
 
 std::vector<std::int64_t> PinData(std::uint64_t seed) {
   return GenerateClusterData({.num_points = 6'000,

@@ -6,6 +6,8 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <limits>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -13,6 +15,7 @@
 #include "src/common/zipf.h"
 #include "src/data/frequency_vector.h"
 #include "src/engine/engine_options.h"
+#include "src/engine/shard.h"
 #include "src/engine/snapshot.h"
 #include "src/histogram/dynamic_vopt.h"
 #include "src/metrics/ks.h"
@@ -162,6 +165,154 @@ TEST(HistogramEngineTest, CoalescedBatchesConserveMassAndQuality) {
   const double ks_b = KsStatistic(truth, b.RefreshSnapshot(kKey).model());
   EXPECT_LT(ks_a, 0.1);
   EXPECT_LE(ks_a, ks_b + 0.05);
+}
+
+// One seeded stream through one coalescing shard, every ExportModel()
+// folded into one digest. A round is one drain: `batch_size` Pushes onto
+// an empty buffer, or every fifth round one PushMany of 2.5 batches (split
+// into batch_size chunks). Inserts are Zipf-skewed, so values repeat
+// within a batch; deletes take a value inserted earlier in the same round
+// or a live value from an earlier round. With `feedback`, runs of query
+// observations (repeats of one predicate, or distinct ones) interleave
+// with the data ops. Every eighth round ends with a partial round that the
+// export's flush drains.
+std::uint64_t ReplayThroughShard(const EngineOptions& options,
+                                 std::uint64_t seed, bool feedback) {
+  EngineShard shard(options);
+  Rng rng(seed);
+  const ZipfDistribution zipf(static_cast<std::size_t>(kDomain), 1.0);
+  std::vector<std::int64_t> live;
+  std::vector<std::int64_t> fresh;
+  const auto next_ops = [&](std::size_t n) {
+    std::vector<UpdateOp> ops;
+    while (ops.size() < n) {
+      const double u = rng.UniformDouble();
+      if (feedback && u < 0.08) {
+        const std::int64_t lo = rng.UniformInt(0, kDomain - 50);
+        const std::int64_t hi = lo + rng.UniformInt(0, 49);
+        const double actual = static_cast<double>(rng.UniformInt(0, 400));
+        const bool repeat = rng.Bernoulli(0.5);
+        for (auto r = static_cast<std::int64_t>(1 + rng.UniformInt(4));
+             r > 0 && ops.size() < n; --r) {
+          ops.push_back(repeat ? UpdateOp::Feedback(lo, hi, actual)
+                               : UpdateOp::Feedback(lo + r, hi + r, actual));
+        }
+      } else if (u < 0.2 && !fresh.empty()) {
+        const std::size_t j = rng.UniformInt(fresh.size());
+        ops.push_back(UpdateOp::Delete(fresh[j]));
+        fresh[j] = fresh.back();
+        fresh.pop_back();
+      } else if (u < 0.3 && !live.empty()) {
+        const std::size_t j = rng.UniformInt(live.size());
+        ops.push_back(UpdateOp::Delete(live[j]));
+        live[j] = live.back();
+        live.pop_back();
+      } else {
+        const auto rank = static_cast<std::int64_t>(zipf.Sample(rng));
+        const std::int64_t v = (rank * 389) % kDomain;
+        ops.push_back(UpdateOp::Insert(v));
+        fresh.push_back(v);
+      }
+    }
+    live.insert(live.end(), fresh.begin(), fresh.end());
+    fresh.clear();
+    return ops;
+  };
+  const auto batch = static_cast<std::size_t>(options.batch_size);
+  std::uint64_t digest = testing::kModelDigestBasis;
+  for (int round = 0; round < 160; ++round) {
+    if (round % 5 == 4) {
+      shard.PushMany(next_ops(batch * 5 / 2));
+    } else {
+      for (const UpdateOp& op : next_ops(batch)) shard.Push(op);
+    }
+    if (round % 8 == 7) {
+      for (const UpdateOp& op : next_ops(batch / 3)) shard.Push(op);
+      digest = testing::ModelDigest(shard.ExportModel(), digest);
+    }
+  }
+  return testing::ModelDigest(shard.ExportModel(), digest);
+}
+
+TEST(HistogramEngineTest, CoalescedShardStreamsReplayBitIdentically) {
+  // Pinned outputs of the coalescing drain: duplicate values collapse into
+  // one weighted insert and one weighted delete, applied in first-occurrence
+  // order, and feedback runs collapse per repeated predicate in arrival
+  // order. Any change to the grouping, the group order or the weighted
+  // steps moves a digest; a faster coalescer must leave every line
+  // unchanged.
+  struct Case {
+    const char* name;
+    ShardHistogramKind kind;
+    int batch_size;
+    bool feedback;
+    std::uint64_t digest;
+  };
+  const Case cases[] = {
+      {"DADO", ShardHistogramKind::kDynamicAdo, 64, false,
+       0x53bd2ef886df973aull},
+      {"DADO", ShardHistogramKind::kDynamicAdo, 256, false,
+       0x2012c166f88a73a7ull},
+      {"DVO", ShardHistogramKind::kDynamicVOpt, 64, false,
+       0xf6929806f3407c64ull},
+      {"DC", ShardHistogramKind::kDynamicCompressed, 64, false,
+       0x0e9b49427c213a53ull},
+      {"STF", ShardHistogramKind::kStFeedback, 64, true,
+       0x3f33409f9740414aull},
+  };
+  for (const Case& c : cases) {
+    EngineOptions options;
+    options.kind = c.kind;
+    options.batch_size = c.batch_size;
+    options.shard_buckets = 32;
+    options.st_feedback.domain_hi = kDomain - 1;
+    ASSERT_TRUE(options.coalesce_batches);
+    const std::uint64_t digest =
+        ReplayThroughShard(options, 51 + c.batch_size, c.feedback);
+    SCOPED_TRACE(::testing::Message()
+                 << c.name << " batch " << c.batch_size << ": digest 0x"
+                 << std::hex << digest);
+    EXPECT_EQ(digest, c.digest);
+  }
+}
+
+// Sends one invalid observation to an ST-FEEDBACK key, then a valid one:
+// the first is dropped and counted (it must not abort the process or reach
+// a shard), the second trains the shards as usual.
+void ExpectFeedbackRejected(std::int64_t lo, std::int64_t hi, double actual) {
+  EngineOptions options = TestOptions();
+  options.kind = ShardHistogramKind::kStFeedback;
+  HistogramEngine engine(options);
+  engine.RecordFeedback(kKey, lo, hi, actual);
+  EXPECT_EQ(engine.LiveTotalCount(kKey), 0.0);
+  EXPECT_EQ(engine.Stats().rejected_feedbacks, 1u);
+  EXPECT_EQ(engine.Stats(kKey).feedbacks, 0u);
+  std::string text;
+  engine.WriteMetricsPrometheus(&text);
+  EXPECT_NE(text.find("dynhist_key_rejected_ops_total{key=\"t.a\","
+                      "reason=\"feedback\"} 1\n"),
+            std::string::npos);
+
+  engine.RecordFeedback(kKey, 10, 19, 80.0);
+  EXPECT_GT(engine.LiveTotalCount(kKey), 0.0);
+  EXPECT_EQ(engine.Stats(kKey).feedbacks, 1u);
+  EXPECT_EQ(engine.Stats(kKey).rejected_feedbacks, 1u);
+}
+
+TEST(HistogramEngineTest, RecordFeedbackDropsInvertedRange) {
+  ExpectFeedbackRejected(20, 10, 5.0);
+}
+
+TEST(HistogramEngineTest, RecordFeedbackDropsNegativeActual) {
+  ExpectFeedbackRejected(10, 20, -1.0);
+}
+
+TEST(HistogramEngineTest, RecordFeedbackDropsNanActual) {
+  ExpectFeedbackRejected(10, 20, std::numeric_limits<double>::quiet_NaN());
+}
+
+TEST(HistogramEngineTest, RecordFeedbackDropsInfiniteActual) {
+  ExpectFeedbackRejected(10, 20, std::numeric_limits<double>::infinity());
 }
 
 TEST(HistogramEngineTest, LegacyCellReduceMatchesPiecesReduce) {

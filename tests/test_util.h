@@ -3,6 +3,7 @@
 #ifndef DYNHIST_TESTS_TEST_UTIL_H_
 #define DYNHIST_TESTS_TEST_UTIL_H_
 
+#include <bit>
 #include <cstdint>
 #include <limits>
 #include <string_view>
@@ -55,6 +56,33 @@ inline bool ModelIsValid(const HistogramModel& model) {
 inline bool ModelsBitIdentical(const HistogramModel& a,
                                const HistogramModel& b) {
   return a.pieces() == b.pieces() && a.buckets() == b.buckets();
+}
+
+/// FNV-1a 64 offset basis: the digest of no models.
+inline constexpr std::uint64_t kModelDigestBasis = 14695981039346656037ull;
+
+/// FNV-1a 64 over the bit patterns of a model: every piece's borders and
+/// count, then every bucket's piece tiling. `digest` continues a previous
+/// digest, so a sequence of models folds into one value.
+inline std::uint64_t ModelDigest(const HistogramModel& model,
+                                 std::uint64_t digest = kModelDigestBasis) {
+  const auto mix = [&digest](std::uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      digest ^= (word >> (8 * byte)) & 0xffu;
+      digest *= 1099511628211ull;
+    }
+  };
+  for (const HistogramModel::Piece& p : model.pieces()) {
+    mix(std::bit_cast<std::uint64_t>(p.left));
+    mix(std::bit_cast<std::uint64_t>(p.right));
+    mix(std::bit_cast<std::uint64_t>(p.count));
+  }
+  for (const HistogramModel::BucketRef& b : model.buckets()) {
+    mix(b.first_piece);
+    mix(b.num_pieces);
+    mix(b.singular ? 1u : 0u);
+  }
+  return digest;
 }
 
 /// Feeds one update-stream operation to an engine key.
