@@ -31,15 +31,17 @@
 // throughput — the telemetry-subsystem acceptance gate.
 //
 // A sixth phase gates the compiled query path: the same preloaded,
-// published snapshot is queried three ways — through the engine with
-// compilation disabled (the piece-walk path, the pre-arena baseline whose
-// 1-thread number is the BENCH_PR4 queries_per_sec series), through the
-// engine with the CompiledSnapshot arena attached, and against a held
+// published snapshot is queried three ways — through the engine's
+// snapshot model, engine.Snapshot(key).model().EstimateRange (the same
+// registry find, snapshot acquire and piece walk as the pre-arena engine
+// path), through the engine's CompiledSnapshot arena, and against a held
 // snapshot's arena directly (no registry lookup, the pure query-path
 // cost). Queries are timed in batches of 64 (per-query cost is below the
 // clock's own overhead) and the batch distribution yields the query p99.
-// The phase FAILS the run if the arena is not >= 5x the piece-walk
-// engine baseline — the PR-7 acceptance gate.
+// The phase FAILS the run if the arena is not >= 6x the piece-walk
+// baseline — the PR-7 acceptance gate, first set at 5x against a
+// compile-off engine whose walk skipped the snapshot copy and ran
+// 10-20% faster than this baseline.
 //
 // A seventh phase gates the epoch-pinned reader fast path: the same
 // published snapshot queried by 1/2/4 reader threads through three
@@ -463,15 +465,8 @@ int main(int argc, char** argv) {
                  qps);
 
   // Compiled query path: the same published model queried through the
-  // piece walk (engine with compilation off — the pre-arena baseline) and
+  // piece walk (the engine snapshot's model — the pre-arena baseline) and
   // through the CompiledSnapshot arena, engine-path and snapshot-held.
-  HistogramEngine walk_engine([&] {
-    EngineOptions o = sharded;
-    o.compile_snapshots = false;
-    return o;
-  }());
-  walk_engine.InsertBatch(kKey, values);
-  walk_engine.RefreshSnapshot(kKey);
   const engine::EngineSnapshot held = engine.Snapshot(kKey);
   const std::int64_t plan_queries = options.quick ? 512 * 1024 : 2'048 * 1024;
   const QueryPlan plan(plan_queries);
@@ -487,7 +482,7 @@ int main(int argc, char** argv) {
     const double walk = MeasurePlannedQueries(
         plan,
         [&](std::int64_t lo, std::int64_t hi) {
-          return walk_engine.EstimateRange(kKey, lo, hi);
+          return engine.Snapshot(kKey).model().EstimateRange(lo, hi);
         },
         &p99);
     if (walk > walk_qps) { walk_qps = walk; walk_p99 = p99; }
@@ -513,8 +508,8 @@ int main(int argc, char** argv) {
               "64, best of 3):\n",
               static_cast<long long>(plan_queries));
   std::printf("%-28s%14s%14s\n", "", "queries/s", "p99 ns/query");
-  std::printf("%-28s%14.0f%14.1f\n", "engine, piece walk", walk_qps,
-              walk_p99);
+  std::printf("%-28s%14.0f%14.1f\n", "engine snapshot, piece walk",
+              walk_qps, walk_p99);
   std::printf("%-28s%14.0f%14.1f\n", "engine, compiled arena",
               compiled_engine_qps, engine_p99);
   std::printf("%-28s%14.0f%14.1f\n", "held snapshot, arena", arena_qps,
@@ -539,9 +534,9 @@ int main(int argc, char** argv) {
   EmitJsonSeries("micro_engine_throughput", "query_speedup_engine_path",
                  {0}, {engine_path_speedup});
   bool query_gate_ok = true;
-  if (query_speedup < 5.0) {
-    std::printf("FAIL: compiled snapshot queries must be >= 5x the "
-                "piece-walk engine path (got %.1fx)\n",
+  if (query_speedup < 6.0) {
+    std::printf("FAIL: compiled snapshot queries must be >= 6x the "
+                "engine snapshot's piece walk (got %.1fx)\n",
                 query_speedup);
     query_gate_ok = false;
   }

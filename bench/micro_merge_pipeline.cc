@@ -7,7 +7,8 @@
 //   pieces — piece-sweep Superimpose + streaming slice SSBM reduction
 //            (SnapshotMerger, the engine's default publish path);
 //   cells  — legacy range-scan Superimpose + per-integer-cell SSBM
-//            reduction (the paper-literal §8 construction).
+//            reduction (the paper-literal §8 construction; the test-only
+//            reference in tests/merge_reference.h).
 // The pieces path must be domain-independent (flat latency across the
 // sweep) and >= 10x faster than the legacy path at domain 1e6, while
 // agreeing with it on total mass (1e-9 relative) and shape (KS <= 1e-9;
@@ -27,15 +28,12 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "src/distributed/global_histogram.h"
+#include "src/histogram/merge.h"
+#include "tests/merge_reference.h"
 
 namespace dynhist::bench {
 namespace {
 
-using distributed::ReduceMode;
-using distributed::ReduceWithSsbm;
-using distributed::SnapshotMerger;
-using distributed::SuperimposeLegacy;
 using engine::EngineOptions;
 using engine::HistogramEngine;
 
@@ -147,9 +145,7 @@ int main(int argc, char** argv) {
     HistogramModel pieces_reduced;
     const double us_pieces = MicrosPerCall(
         [&] {
-          pieces_reduced =
-              merger.MergeAndReduce(models, kMergedBuckets,
-                                    ReduceMode::kPieces);
+          pieces_reduced = merger.MergeAndReduce(models, kMergedBuckets);
         },
         /*min_seconds=*/0.2, /*max_reps=*/2'000);
     pieces_us.push_back(us_pieces);
@@ -158,8 +154,8 @@ int main(int argc, char** argv) {
       HistogramModel cells_reduced;
       const double us_cells = MicrosPerCall(
           [&] {
-            cells_reduced = ReduceWithSsbm(SuperimposeLegacy(models),
-                                           kMergedBuckets, ReduceMode::kCells);
+            cells_reduced = testing::ReduceWithSsbmCells(
+                testing::SuperimposeLegacy(models), kMergedBuckets);
           },
           /*min_seconds=*/0.2, /*max_reps=*/50);
       cells_us.push_back(us_cells);

@@ -258,7 +258,7 @@ int main(int argc, char** argv) {
         // The estimate read goes through the resolved handle: the
         // thread's lease cache revalidates with one relaxed load and the
         // published CompiledSnapshot arena answers (two branch-free
-        // lower_bound lookups) — no registry find, and a shared_ptr
+        // upper_bound lookups) — no registry find, and a shared_ptr
         // acquire only when a publish landed since this thread's last
         // query. Feeds the sampled dynhist_query_latency_ns distribution.
         volatile double sink = engine.EstimateRange(hot_handle, lo, hi);
@@ -319,11 +319,8 @@ int main(int argc, char** argv) {
   std::printf("KS(final snapshot, truth) = %.4f\n",
               KsStatistic(truth, final_snapshot.model()));
 
-  // A couple of optimizer questions against the final epoch, answered on
-  // the compiled arena when the publish attached one (bit-identical to the
-  // piece walk either way).
-  const SelectivityEstimator estimator(final_snapshot.model(),
-                                       final_snapshot.compiled());
+  // A couple of optimizer questions against the final epoch's model.
+  const SelectivityEstimator estimator(final_snapshot.model());
   const std::int64_t n = truth.TotalCount();
   std::printf("selectivity(A <= 100):      estimate %.4f   truth %.4f\n",
               estimator.SelectivityAtMost(100),

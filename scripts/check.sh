@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
-# One-command regression check: configure, build, run the full test suite,
-# then smoke-run the merge-pipeline, concurrent-engine, and distributed
+# One-command regression check: check the include dependency direction
+# (scripts/check_deps.sh: histogram/ <- engine/ <- distributed/),
+# configure, build, run the full test suite, then smoke-run the merge-pipeline, concurrent-engine, and distributed
 # frame micro-benchmarks in quick mode (micro_merge_pipeline exits
 # nonzero if the publish-path speedup or parity criteria regress;
 # micro_engine_throughput exits nonzero if async publish stops cutting
 # boundary-op p99 latency >= 5x, if telemetry costs more than 5% of
 # ingest throughput, or if the compiled-snapshot query path drops below
-# 5x the piece-walk baseline; micro_dist_frames exits nonzero if
+# 6x the snapshot piece-walk baseline; micro_dist_frames exits nonzero if
 # loopback frame ingest falls under 10k frames/sec or duplicate frames
 # cause any merges; micro_st_feedback exits nonzero if feedback-trained
 # accuracy falls under 2x the untrained equi-width baseline or the
@@ -69,6 +70,9 @@ if [[ "$(realpath -m "$BUILD_DIR")" == "$(realpath .)" ]]; then
   exit 2
 fi
 JOBS="$(nproc 2>/dev/null || echo 2)"
+
+echo "== dependency direction =="
+scripts/check_deps.sh
 
 echo "== configure =="
 cmake -B "$BUILD_DIR" -S .

@@ -22,10 +22,10 @@ BUILD_DIR="${1:-build}"
 
 # The server's readers route through the compiled-arena estimate path, so
 # the dump must carry the query-side series: the sampled latency
-# distribution and the per-key fallback counters. Their absence means the
-# query telemetry regressed even if the format self-check passed.
+# distribution and the query counter. Their absence means the query
+# telemetry regressed even if the format self-check passed.
 for series in dynhist_query_latency_ns_count \
-              dynhist_engine_fallback_queries_total; do
+              dynhist_engine_queries_total; do
   if ! grep -q "^$series" METRICS_PR5.prom; then
     echo "metrics_dump: FAIL — series '$series' missing from exposition" >&2
     exit 1

@@ -145,8 +145,8 @@ Aggregator::IngestResult Aggregator::Ingest(std::string_view frame_bytes,
     watermark += s.watermark;
     if (!s.model.Empty()) models.push_back(s.model);
   }
-  HistogramModel merged = entry.merger.MergeAndReduce(
-      models, options_.merged_buckets, ReduceMode::kPieces);
+  HistogramModel merged =
+      entry.merger.MergeAndReduce(models, options_.merged_buckets);
   merges_.fetch_add(1);
   engine_.PublishExternal(decoded.header.key, std::move(merged), watermark);
   return IngestResult::kApplied;

@@ -40,9 +40,9 @@
 #include <vector>
 
 #include "src/distributed/frame.h"
-#include "src/distributed/global_histogram.h"
 #include "src/engine/engine_options.h"
 #include "src/engine/histogram_engine.h"
+#include "src/histogram/merge.h"
 #include "src/telemetry/registry.h"
 
 namespace dynhist::distributed {
@@ -56,8 +56,7 @@ class Aggregator {
 
     /// Options of the global-view engine. Defaults disable ingest-side
     /// cadence (the aggregator publishes externally; nothing flows
-    /// through shards) and keep snapshot compilation on so queries hit
-    /// the arena.
+    /// through shards).
     engine::EngineOptions engine;
 
     Options();

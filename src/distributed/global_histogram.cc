@@ -1,166 +1,13 @@
 #include "src/distributed/global_histogram.h"
 
-#include <algorithm>
-#include <cmath>
+#include <cstdint>
 
 #include "src/common/check.h"
 #include "src/histogram/budget.h"
+#include "src/histogram/merge.h"
 #include "src/histogram/ssbm.h"
 
 namespace dynhist::distributed {
-
-namespace {
-
-// Per-cell masses below this are treated as empty space by both reduction
-// modes (the legacy cell path always filtered at this level; the piece path
-// applies it to the density, which is the mass of one cell).
-constexpr double kMinDensity = 1e-12;
-
-}  // namespace
-
-void SnapshotMerger::SweepInto(const std::vector<HistogramModel>& models) {
-  pieces_.clear();
-  cursors_.clear();
-  DH_DCHECK(heap_.empty());
-  for (const HistogramModel& m : models) {
-    if (m.Empty()) continue;
-    Cursor c;
-    c.pieces = &m.pieces();
-    c.x = m.pieces().front().left;
-    cursors_.push_back(c);
-    heap_.push({c.x, static_cast<std::uint32_t>(cursors_.size() - 1)});
-  }
-  if (cursors_.empty()) return;
-
-  // k-way sweep: pop the globally next border, emit the elementary range it
-  // closes, apply the border's density/coverage deltas, and re-queue the
-  // cursor's next event. Each piece costs two heap rounds — O(total pieces
-  // * log models) overall, independent of range widths and of the domain.
-  double density = 0.0;  // sum of the densities of the covering pieces
-  int coverage = 0;      // number of covering pieces
-  double cur_x = 0.0;
-  bool started = false;
-  while (!heap_.empty()) {
-    const HeapEntry top = heap_.top();
-    heap_.pop();
-    Cursor& c = cursors_[top.cursor];
-    if (started && top.x > cur_x) {
-      if (coverage > 0) {
-        // Zero-mass but covered ranges keep a piece: the merged support is
-        // exactly the union of the inputs' supports. The density clamp
-        // absorbs residual negative rounding from the on/off deltas.
-        pieces_.push_back(
-            {cur_x, top.x, std::max(0.0, density) * (top.x - cur_x)});
-      }
-      cur_x = top.x;
-    } else if (!started) {
-      cur_x = top.x;
-      started = true;
-    }
-    const HistogramModel::Piece& p = (*c.pieces)[c.index];
-    if (!c.at_right) {
-      c.active_density = p.Density();
-      density += c.active_density;
-      ++coverage;
-      c.at_right = true;
-      c.x = std::max(c.x, p.right);
-      heap_.push({c.x, top.cursor});
-    } else {
-      density -= c.active_density;
-      --coverage;
-      ++c.index;
-      if (c.index < c.pieces->size()) {
-        c.at_right = false;
-        // Clamp against the model's 1e-9 overlap tolerance so per-cursor
-        // event positions stay monotone.
-        c.x = std::max(c.x, (*c.pieces)[c.index].left);
-        heap_.push({c.x, top.cursor});
-      }
-    }
-  }
-  DH_DCHECK(coverage == 0);
-}
-
-HistogramModel SnapshotMerger::Superimpose(
-    const std::vector<HistogramModel>& models) {
-  SweepInto(models);
-  if (pieces_.empty()) return HistogramModel();
-  std::vector<HistogramModel::Piece> pieces(pieces_);  // scratch stays warm
-  return HistogramModel::FromSimpleBuckets(std::move(pieces));
-}
-
-HistogramModel SnapshotMerger::MergeAndReduce(
-    const std::vector<HistogramModel>& models, std::int64_t buckets,
-    ReduceMode mode) {
-  if (buckets <= 0) return Superimpose(models);
-  if (mode == ReduceMode::kCells) {
-    return ReduceWithSsbm(Superimpose(models), buckets, ReduceMode::kCells);
-  }
-  SweepInto(models);
-  slices_.clear();
-  for (const HistogramModel::Piece& p : pieces_) {
-    if (p.Density() > kMinDensity) slices_.push_back(p);
-  }
-  if (slices_.empty()) return HistogramModel();
-  return BuildSsbm(slices_, buckets);
-}
-
-HistogramModel Superimpose(const std::vector<HistogramModel>& models) {
-  SnapshotMerger merger;
-  return merger.Superimpose(models);
-}
-
-HistogramModel SuperimposeLegacy(const std::vector<HistogramModel>& models) {
-  // Union of all borders defines the elementary ranges.
-  std::vector<double> borders;
-  for (const HistogramModel& m : models) {
-    for (const HistogramModel::Piece& p : m.pieces()) {
-      borders.push_back(p.left);
-      borders.push_back(p.right);
-    }
-  }
-  std::sort(borders.begin(), borders.end());
-  borders.erase(std::unique(borders.begin(), borders.end()), borders.end());
-  if (borders.size() < 2) return HistogramModel();
-
-  std::vector<HistogramModel::Piece> pieces;
-  pieces.reserve(borders.size() - 1);
-  for (std::size_t i = 0; i + 1 < borders.size(); ++i) {
-    const double lo = borders[i];
-    const double hi = borders[i + 1];
-    double mass = 0.0;
-    for (const HistogramModel& m : models) {
-      mass += m.MassInRealRange(lo, hi);
-    }
-    if (mass > 0.0) pieces.push_back({lo, hi, mass});
-  }
-  return HistogramModel::FromSimpleBuckets(std::move(pieces));
-}
-
-HistogramModel ReduceWithSsbm(const HistogramModel& model,
-                              std::int64_t buckets, ReduceMode mode) {
-  if (model.Empty()) return HistogramModel();
-  if (mode == ReduceMode::kPieces) {
-    std::vector<HistogramModel::Piece> slices;
-    slices.reserve(model.NumPieces());
-    for (const HistogramModel::Piece& p : model.pieces()) {
-      if (p.Density() > kMinDensity) slices.push_back(p);
-    }
-    if (slices.empty()) return HistogramModel();
-    return BuildSsbm(slices, buckets);
-  }
-  // Legacy: read the composite back as expected counts per integer cell
-  // [v, v+1).
-  const auto first = static_cast<std::int64_t>(std::floor(model.MinBorder()));
-  const auto last = static_cast<std::int64_t>(std::ceil(model.MaxBorder()));
-  std::vector<ValueFreq> entries;
-  for (std::int64_t v = first; v < last; ++v) {
-    const double mass = model.MassInRealRange(static_cast<double>(v),
-                                              static_cast<double>(v) + 1.0);
-    if (mass > kMinDensity) entries.push_back({v, mass});
-  }
-  return BuildSsbm(entries, buckets);
-}
 
 HistogramModel BuildGlobalHistogram(const std::vector<Site>& sites,
                                     GlobalStrategy strategy,

@@ -22,9 +22,8 @@ std::size_t SiteShipper::Ship(const Sink& sink, bool force) {
     header.key = key;
     header.epoch = snap.epoch();
     header.watermark = snap.watermark();
-    // Encode from the model rather than the compiled arena so shipping
-    // works when the site publishes with compilation off; for compiled
-    // snapshots the two encodings are byte-identical anyway.
+    // Encoding the model or the snapshot's compiled arena yields
+    // byte-identical frames.
     const std::string frame = EncodeFrame(header, snap.model());
     if (last < snap.epoch()) last = snap.epoch();
     ++frames_shipped_;

@@ -31,14 +31,13 @@
 #include "src/histogram/dynamic_compressed.h"      // IWYU pragma: export
 #include "src/histogram/dynamic_vopt.h"    // IWYU pragma: export
 #include "src/histogram/histogram.h"       // IWYU pragma: export
+#include "src/histogram/merge.h"           // IWYU pragma: export
 #include "src/histogram/model.h"           // IWYU pragma: export
-#include "src/histogram/serialize.h"       // IWYU pragma: export
 #include "src/histogram/ssbm.h"            // IWYU pragma: export
 #include "src/histogram/st_feedback.h"     // IWYU pragma: export
 #include "src/histogram/static_compressed.h"       // IWYU pragma: export
 #include "src/histogram/static_equi.h"     // IWYU pragma: export
 #include "src/histogram/static_voptimal.h"         // IWYU pragma: export
-#include "src/histogram2d/dynamic_grid.h"  // IWYU pragma: export
 #include "src/cluster/birch1d.h"           // IWYU pragma: export
 #include "src/distributed/aggregator.h"    // IWYU pragma: export
 #include "src/distributed/frame.h"         // IWYU pragma: export

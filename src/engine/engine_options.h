@@ -6,7 +6,8 @@
 // histogram instances, per-shard buffers batch `batch_size` operations per
 // histogram-lock acquisition, and every `snapshot_every` updates the shard
 // models are merged (Superimpose + ReduceWithSsbm, the §8 machinery) into
-// one immutable published snapshot that queries read lock-free.
+// one immutable published snapshot, compiled to its query arena, that
+// queries read lock-free.
 
 #ifndef DYNHIST_ENGINE_ENGINE_OPTIONS_H_
 #define DYNHIST_ENGINE_ENGINE_OPTIONS_H_
@@ -78,27 +79,6 @@ struct EngineOptions {
   /// faithful replay.
   bool coalesce_batches = true;
 
-  /// Publish-path reduction flavor: false (default) feeds the superimposed
-  /// composite's pieces directly to SSBM (cost O(pieces), independent of
-  /// the attribute domain); true rasterizes the composite to integer cells
-  /// first — the legacy O(domain) path, kept for parity testing against
-  /// the paper's literal §8 construction. Flip it only to diagnose a
-  /// suspected piece-path regression; at large domains legacy publishes
-  /// are orders of magnitude slower and run on writer threads.
-  bool use_legacy_cell_reduce = false;
-
-  /// Compile every published snapshot into its CompiledSnapshot arena
-  /// (contiguous borders + prefix-CDF masses; see
-  /// src/histogram/compiled_snapshot.h) so queries run two branch-free
-  /// lower_bound lookups instead of walking model pieces. Costs O(pieces)
-  /// at each publish: ~0.3 us for a 64-bucket snapshot, against a
-  /// loaded publish of ~405 us (perfbench ingest medians: export ~110
-  /// us, merge ~295 us, of which the SSBM reduce takes ~115-145 us
-  /// unloaded).
-  /// False keeps the piece-walk query path (the bench baseline; answers
-  /// are bit-identical either way).
-  bool compile_snapshots = true;
-
   /// When positive, a background thread republishes every key's snapshot
   /// at this cadence (skipping keys with no new updates). 0 disables the
   /// thread; publication is then driven by `snapshot_every` and
@@ -167,16 +147,9 @@ struct KeyOptionOverrides {
   /// Per-key bucket budget of the published snapshot.
   std::optional<std::int64_t> merged_buckets{};
 
-  /// Per-key reduction flavor (see EngineOptions::use_legacy_cell_reduce).
-  std::optional<bool> use_legacy_cell_reduce{};
-
   /// Per-key async publish: hot keys can publish eagerly off-thread while
   /// cold keys stay on the cheap synchronous path, or vice versa.
   std::optional<bool> async_publish{};
-
-  /// Per-key snapshot compilation (see EngineOptions::compile_snapshots);
-  /// takes effect at the key's next publication.
-  std::optional<bool> compile_snapshots{};
 };
 
 }  // namespace dynhist::engine

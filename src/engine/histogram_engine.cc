@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "src/common/check.h"
-#include "src/distributed/global_histogram.h"
 #include "src/engine/snapshot_lease.h"
 
 namespace dynhist::engine {
@@ -29,6 +28,10 @@ std::uint64_t MixValue(std::int64_t value) {
   return z ^ (z >> 31);
 }
 
+bool InValueDomain(std::int64_t value) {
+  return value >= kMinValue && value <= kMaxValue;
+}
+
 void BumpMax(std::atomic<std::uint64_t>& cell, std::uint64_t value) {
   std::uint64_t prev = cell.load(std::memory_order_relaxed);
   while (prev < value &&
@@ -45,7 +48,7 @@ std::string EngineStats::ToJson() const {
       buf, sizeof buf,
       "{\"keys\":%" PRIu64 ",\"inserts\":%" PRIu64 ",\"deletes\":%" PRIu64
       ",\"feedbacks\":%" PRIu64 ",\"rejected_feedbacks\":%" PRIu64
-      ",\"queries\":%" PRIu64 ",\"fallback_queries\":%" PRIu64
+      ",\"rejected_values\":%" PRIu64 ",\"queries\":%" PRIu64
       ",\"unknown_queries\":%" PRIu64 ",\"lease_hits\":%" PRIu64
       ",\"lease_misses\":%" PRIu64 ",\"publishes\":%" PRIu64
       ",\"async_publishes\":%" PRIu64 ",\"publish_queued\":%" PRIu64
@@ -53,11 +56,11 @@ std::string EngineStats::ToJson() const {
       ",\"publish_skipped\":%" PRIu64 ",\"publish_nanos\":%" PRIu64
       ",\"max_publish_nanos\":%" PRIu64 ",\"queue_wait_nanos\":%" PRIu64
       ",\"snapshot_epoch\":%" PRIu64 "}",
-      keys, inserts, deletes, feedbacks, rejected_feedbacks, queries,
-      fallback_queries, unknown_queries,
-      lease_hits, lease_misses, publishes, async_publishes, publish_queued,
-      publish_coalesced, publish_rejected, publish_skipped, publish_nanos,
-      max_publish_nanos, queue_wait_nanos, snapshot_epoch);
+      keys, inserts, deletes, feedbacks, rejected_feedbacks, rejected_values,
+      queries, unknown_queries, lease_hits, lease_misses, publishes,
+      async_publishes, publish_queued, publish_coalesced, publish_rejected,
+      publish_skipped, publish_nanos, max_publish_nanos, queue_wait_nanos,
+      snapshot_epoch);
   return buf;
 }
 
@@ -68,9 +71,7 @@ internal::KeyState::KeyState(std::string key_name,
       kind(options.kind),
       snapshot_every(options.snapshot_every),
       merged_buckets(options.merged_buckets),
-      legacy_reduce(options.use_legacy_cell_reduce),
-      async_publish(options.async_publish),
-      compile_snapshots(options.compile_snapshots) {
+      async_publish(options.async_publish) {
   shards.reserve(static_cast<std::size_t>(options.shards));
   for (int i = 0; i < options.shards; ++i) {
     shards.push_back(
@@ -201,19 +202,20 @@ void HistogramEngine::RegisterKeyMetrics(KeyState& state) {
           c.deletes);
   counter("dynhist_key_feedbacks_total",
           "RecordFeedback() observations accepted", c.feedbacks);
-  metrics_.AddCallback(
-      "dynhist_key_rejected_ops_total",
-      "Caller operations dropped as invalid input, by reason",
-      telemetry::MetricKind::kCounter,
-      {{"key", state.name}, {"reason", "feedback"}},
-      [&cell = c.rejected_feedbacks] {
-        return static_cast<double>(cell.load(std::memory_order_acquire));
-      });
+  const auto rejected = [&](const char* reason,
+                            const std::atomic<std::uint64_t>& cell) {
+    metrics_.AddCallback(
+        "dynhist_key_rejected_ops_total",
+        "Caller operations dropped as invalid input, by reason",
+        telemetry::MetricKind::kCounter,
+        {{"key", state.name}, {"reason", reason}}, [&cell] {
+          return static_cast<double>(cell.load(std::memory_order_acquire));
+        });
+  };
+  rejected("feedback", c.rejected_feedbacks);
+  rejected("domain", c.rejected_values);
   counter("dynhist_key_queries_total", "Snapshot/estimate reads served",
           c.queries);
-  counter("dynhist_key_fallback_queries_total",
-          "Estimate reads that walked model pieces (no compiled arena)",
-          c.fallback_queries);
   counter("dynhist_key_snapshot_lease_hits_total",
           "Handle-path lease revalidations served from the thread-local "
           "cache (no shared_ptr traffic)",
@@ -323,6 +325,13 @@ EngineShard& HistogramEngine::ShardFor(KeyState& state,
 HistogramEngine::KeyState* HistogramEngine::Update(std::string_view key,
                                                    const UpdateOp& op) {
   KeyState* state = FindOrCreateKey(key);
+  // Caller input, not an invariant: an out-of-domain value would publish
+  // a zero-width piece and abort the process, so it is dropped and
+  // counted before it reaches a shard or the publish cadence.
+  if (!InValueDomain(op.value)) {
+    state->counters.rejected_values.fetch_add(1, std::memory_order_release);
+    return nullptr;
+  }
   ShardFor(*state, op.value).Push(op);
   state->update_count.fetch_add(1, std::memory_order_relaxed);
   MaybeAutoPublish(*state);
@@ -333,13 +342,15 @@ void HistogramEngine::Insert(std::string_view key, std::int64_t value) {
   // Counter increments follow the counted work (here and below): the
   // release store must carry the operation's writes for the EngineStats
   // acquire-read contract to hold.
-  Update(key, UpdateOp::Insert(value))
-      ->counters.inserts.fetch_add(1, std::memory_order_release);
+  if (KeyState* state = Update(key, UpdateOp::Insert(value))) {
+    state->counters.inserts.fetch_add(1, std::memory_order_release);
+  }
 }
 
 void HistogramEngine::Delete(std::string_view key, std::int64_t value) {
-  Update(key, UpdateOp::Delete(value))
-      ->counters.deletes.fetch_add(1, std::memory_order_release);
+  if (KeyState* state = Update(key, UpdateOp::Delete(value))) {
+    state->counters.deletes.fetch_add(1, std::memory_order_release);
+  }
 }
 
 void HistogramEngine::InsertBatch(std::string_view key,
@@ -347,16 +358,26 @@ void HistogramEngine::InsertBatch(std::string_view key,
   if (values.empty()) return;
   KeyState* state = FindOrCreateKey(key);
   // Partition once, then one PushMany (one buffer-lock round) per shard.
+  // Out-of-domain values are dropped and counted, as in Update.
   std::vector<std::vector<UpdateOp>> per_shard(state->shards.size());
+  std::size_t rejected = 0;
   for (const std::int64_t v : values) {
+    if (!InValueDomain(v)) {
+      ++rejected;
+      continue;
+    }
     per_shard[ShardIndexFor(*state, v)].push_back(UpdateOp::Insert(v));
   }
+  if (rejected > 0) {
+    state->counters.rejected_values.fetch_add(rejected,
+                                              std::memory_order_release);
+  }
+  const std::size_t accepted = values.size() - rejected;
   for (std::size_t s = 0; s < per_shard.size(); ++s) {
     state->shards[s]->PushMany(per_shard[s]);
   }
-  state->counters.inserts.fetch_add(values.size(),
-                                    std::memory_order_release);
-  state->update_count.fetch_add(values.size(), std::memory_order_relaxed);
+  state->counters.inserts.fetch_add(accepted, std::memory_order_release);
+  state->update_count.fetch_add(accepted, std::memory_order_relaxed);
   MaybeAutoPublish(*state);
 }
 
@@ -387,9 +408,7 @@ void HistogramEngine::RecordFeedback(const KeyHandle& handle, std::int64_t lo,
       double estimate = 0.0;
       if (const std::shared_ptr<const VersionedModel> published =
               state.published.load(std::memory_order_acquire)) {
-        estimate = published->compiled.attached()
-                       ? published->compiled.EstimateRange(lo, hi)
-                       : published->model.EstimateRange(lo, hi);
+        estimate = published->compiled.EstimateRange(lo, hi);
       }
       hist->Record(static_cast<std::uint64_t>(
           std::llround(std::fabs(estimate - actual))));
@@ -489,11 +508,7 @@ EngineSnapshot HistogramEngine::PublishExternal(std::string_view key,
   KeyState& state = *FindOrCreateKey(key);
   std::unique_lock<std::mutex> publish_lock(state.publish_mu);
   const std::uint64_t start_ns = trace_.NowNs();
-
-  CompiledSnapshot compiled;
-  if (state.compile_snapshots.load(std::memory_order_relaxed)) {
-    compiled = CompiledSnapshot::Compile(model);
-  }
+  CompiledSnapshot compiled = CompiledSnapshot::Compile(model);
 
   // The publish tail of Publish(), minus the flush/merge head: same
   // epoch/version ordering contract, same counters, so externally fed
@@ -561,18 +576,13 @@ double HistogramEngine::EstimateOnState(KeyState& state,
   }
   const std::uint64_t qn =
       state.counters.queries.fetch_add(1, std::memory_order_release);
-  const bool compiled = vm->compiled.attached();
   // Sampling every 1024th query keeps the latency histogram's two clock
   // reads off the hot path; qn is the pre-increment count, so a key's
   // first query is always sampled and the series is never empty.
   const bool sample = telemetry_on_ && (qn & 1023u) == 0u;
   const std::uint64_t t0 = sample ? trace_.NowNs() : 0;
-  const double result = compiled ? vm->compiled.EstimateRange(lo, hi)
-                                 : vm->model.EstimateRange(lo, hi);
+  const double result = vm->compiled.EstimateRange(lo, hi);
   if (sample) query_latency_hist_->Record(trace_.NowNs() - t0);
-  if (!compiled) {
-    state.counters.fallback_queries.fetch_add(1, std::memory_order_release);
-  }
   return result;
 }
 
@@ -620,21 +630,13 @@ void HistogramEngine::EstimateRangeBatch(const KeyHandle& handle,
     std::fill(results, results + count, 0.0);
     return;
   }
-  // One counter settle for the span; the loop body is the raw arena (or
-  // piece-walk) lookup — per-query cost converges to the arena's as the
-  // batch grows. Answers are bit-identical to the scalar path: same
-  // expressions, same snapshot.
+  // One counter settle for the span; the loop body is the raw arena
+  // lookup — per-query cost converges to the arena's as the batch grows.
+  // Answers are bit-identical to the scalar path: same expressions, same
+  // snapshot.
   state.counters.queries.fetch_add(count, std::memory_order_release);
-  if (vm->compiled.attached()) {
-    for (std::size_t i = 0; i < count; ++i) {
-      results[i] = vm->compiled.EstimateRange(queries[i].lo, queries[i].hi);
-    }
-  } else {
-    for (std::size_t i = 0; i < count; ++i) {
-      results[i] = vm->model.EstimateRange(queries[i].lo, queries[i].hi);
-    }
-    state.counters.fallback_queries.fetch_add(count,
-                                              std::memory_order_release);
+  for (std::size_t i = 0; i < count; ++i) {
+    results[i] = vm->compiled.EstimateRange(queries[i].lo, queries[i].hi);
   }
 }
 
@@ -676,9 +678,8 @@ void HistogramEngine::AccumulateStats(const KeyState& state,
   stats->feedbacks += c.feedbacks.load(std::memory_order_acquire);
   stats->rejected_feedbacks +=
       c.rejected_feedbacks.load(std::memory_order_acquire);
+  stats->rejected_values += c.rejected_values.load(std::memory_order_acquire);
   stats->queries += c.queries.load(std::memory_order_acquire);
-  stats->fallback_queries +=
-      c.fallback_queries.load(std::memory_order_acquire);
   stats->lease_hits += c.lease_hits.load(std::memory_order_acquire);
   stats->lease_misses += c.lease_misses.load(std::memory_order_acquire);
   stats->publishes += c.publishes.load(std::memory_order_acquire);
@@ -752,9 +753,6 @@ telemetry::MetricsSnapshot HistogramEngine::CollectMetrics() const {
   add("dynhist_engine_queries_total",
       "Snapshot/estimate reads served (unknown keys included)",
       MetricKind::kCounter, stats.queries);
-  add("dynhist_engine_fallback_queries_total",
-      "Estimate reads that walked model pieces (no compiled arena)",
-      MetricKind::kCounter, stats.fallback_queries);
   add("dynhist_engine_unknown_queries_total",
       "Estimate reads answered without a snapshot (unknown key, or known "
       "key never published)",
@@ -1033,16 +1031,8 @@ void HistogramEngine::SetKeyOptions(const KeyHandle& handle,
     state->merged_buckets.store(*o.merged_buckets,
                                 std::memory_order_relaxed);
   }
-  if (o.use_legacy_cell_reduce) {
-    state->legacy_reduce.store(*o.use_legacy_cell_reduce,
-                               std::memory_order_relaxed);
-  }
   if (o.async_publish) {
     state->async_publish.store(*o.async_publish, std::memory_order_relaxed);
-  }
-  if (o.compile_snapshots) {
-    state->compile_snapshots.store(*o.compile_snapshots,
-                                   std::memory_order_relaxed);
   }
 }
 
@@ -1067,12 +1057,8 @@ EngineOptions HistogramEngine::EffectiveOptionsOf(
       state->snapshot_every.load(std::memory_order_relaxed);
   effective.merged_buckets =
       state->merged_buckets.load(std::memory_order_relaxed);
-  effective.use_legacy_cell_reduce =
-      state->legacy_reduce.load(std::memory_order_relaxed);
   effective.async_publish =
       state->async_publish.load(std::memory_order_relaxed);
-  effective.compile_snapshots =
-      state->compile_snapshots.load(std::memory_order_relaxed);
   return effective;
 }
 
@@ -1102,10 +1088,7 @@ EngineSnapshot HistogramEngine::Publish(
       telemetry_on_ ? trace_.NowNs() : start_ns;
 
   HistogramModel merged = state.merger.MergeAndReduce(
-      models, state.merged_buckets.load(std::memory_order_relaxed),
-      state.legacy_reduce.load(std::memory_order_relaxed)
-          ? distributed::ReduceMode::kCells
-          : distributed::ReduceMode::kPieces);
+      models, state.merged_buckets.load(std::memory_order_relaxed));
   const std::uint64_t merged_ns =
       telemetry_on_ ? trace_.NowNs() : start_ns;
 
@@ -1113,10 +1096,7 @@ EngineSnapshot HistogramEngine::Publish(
   // shared state. O(pieces): ~0.3 us for a 64-bucket snapshot against
   // ~280 us for the merge above (perfbench ingest medians), so the
   // publish-latency envelope is unchanged.
-  CompiledSnapshot compiled;
-  if (state.compile_snapshots.load(std::memory_order_relaxed)) {
-    compiled = CompiledSnapshot::Compile(merged);
-  }
+  CompiledSnapshot compiled = CompiledSnapshot::Compile(merged);
 
   const std::uint64_t epoch =
       state.epoch.fetch_add(1, std::memory_order_relaxed) + 1;

@@ -11,8 +11,9 @@
 //   histograms (DC/DVO/DADO behind per-shard mutexes)
 //                                   │  every snapshot_every updates, or on
 //                                   ▼  demand / background cadence
-//   Superimpose(shard models) ─▶ ReduceWithSsbm ─▶ immutable VersionedModel
-//                                   │   published by atomic shared_ptr swap
+//   Superimpose(shard models) ─▶ ReduceWithSsbm ─▶ Compile ─▶ immutable
+//                                   │   VersionedModel, published by atomic
+//                                   │   shared_ptr swap
 //                                   ▼
 //   readers ── Snapshot()/EstimateRange()/EstimateEquals(): lock-free reads
 //              of the last published epoch; never touch the write locks.
@@ -64,7 +65,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "src/distributed/global_histogram.h"
 #include "src/engine/engine_options.h"
 #include "src/engine/key_handle.h"
 #include "src/engine/key_state.h"
@@ -76,6 +76,13 @@
 #include "src/telemetry/trace_ring.h"
 
 namespace dynhist::engine {
+
+/// The attribute values the engine accepts: [-2^53, 2^53). A value v is
+/// the piece [v, v + 1) in double arithmetic, and past 2^53 that piece has
+/// zero width. Insert, Delete and InsertBatch drop values outside the
+/// domain and count them in EngineStats::rejected_values.
+inline constexpr std::int64_t kMinValue = -(std::int64_t{1} << 53);
+inline constexpr std::int64_t kMaxValue = (std::int64_t{1} << 53) - 1;
 
 /// Monotone counters describing engine activity — the global aggregate
 /// from Stats(), or one key's share from Stats(key). The per-key
@@ -98,13 +105,10 @@ struct EngineStats {
   /// RecordFeedback() calls dropped as invalid caller input: lo > hi, or
   /// an `actual` that is negative, NaN or infinite.
   std::uint64_t rejected_feedbacks = 0;
+  /// Insert/Delete/InsertBatch values dropped as outside the supported
+  /// domain [kMinValue, kMaxValue].
+  std::uint64_t rejected_values = 0;
   std::uint64_t queries = 0;     ///< estimate / snapshot reads served
-  std::uint64_t fallback_queries = 0;  ///< estimate reads that walked model
-                                       ///< pieces because the published
-                                       ///< snapshot had no compiled arena
-                                       ///< (compile_snapshots off); the
-                                       ///< compiled-path share is
-                                       ///< queries - fallback_queries
   /// Estimate reads answered without a snapshot: the key was unknown OR
   /// known but never published. Both take the same fallback path (return
   /// 0.0, the empty epoch-0 view) and both count here — and in `queries`
@@ -168,14 +172,20 @@ class HistogramEngine {
   HistogramEngine& operator=(const HistogramEngine&) = delete;
 
   /// Records the insertion of one tuple with attribute value `value` under
-  /// `key`, creating the key on first use. Thread-safe.
+  /// `key`, creating the key on first use. The supported domain is
+  /// [kMinValue, kMaxValue] = [-2^53, 2^53): a value outside it is
+  /// dropped and counted in EngineStats::rejected_values and
+  /// dynhist_key_rejected_ops_total{reason="domain"}. Thread-safe.
   void Insert(std::string_view key, std::int64_t value);
 
   /// Records the deletion of one tuple. The value must have been inserted
-  /// under `key` (executor convention, §7.3). Thread-safe.
+  /// under `key` (executor convention, §7.3); out-of-domain values are
+  /// dropped and counted as for Insert. Thread-safe.
   void Delete(std::string_view key, std::int64_t value);
 
   /// Bulk insert: one buffer-lock round per shard instead of per value.
+  /// Out-of-domain values are dropped and counted as for Insert; the rest
+  /// are inserted.
   void InsertBatch(std::string_view key,
                    const std::vector<std::int64_t>& values);
 
@@ -278,9 +288,8 @@ class HistogramEngine {
 
   /// Estimated tuples under `key` with lo <= A <= hi / with A = v, read
   /// from the last published snapshot. Lock-free and allocation-free:
-  /// routed through the snapshot's compiled prefix-CDF arena when one was
-  /// built at publish time (EngineOptions::compile_snapshots, default),
-  /// through the piece-walk model otherwise — answers are bit-identical.
+  /// answered by the snapshot's compiled prefix-CDF arena, bit-identical
+  /// to the model's piece walk.
   ///
   /// These string-keyed reads are thin wrappers: one transparent
   /// registry find (shared lock), then the same estimate body the handle
@@ -400,21 +409,20 @@ class HistogramEngine {
   EngineShard& ShardFor(KeyState& state, std::int64_t value) const;
 
   // Shared body of EstimateRange/EstimateEquals (equality is the
-  // single-value range): one lock-free published-model load, routed
-  // through the compiled arena when attached, fallback queries counted,
-  // and every 1024th query of a key latency-sampled into
-  // query_latency_hist_ (batch-granularity discipline: the other 1023
-  // pay no clock read).
+  // single-value range): one lock-free published-model load, answered
+  // by its compiled arena, and every 1024th query of a key
+  // latency-sampled into query_latency_hist_ (batch-granularity
+  // discipline: the other 1023 pay no clock read).
   double EstimateImpl(std::string_view key, std::int64_t lo,
                       std::int64_t hi) const;
 
   // The estimate tail every entry point (string, handle, batch) funnels
   // into: counts the query against `state`, unifies the no-snapshot
   // fallback (vm == nullptr counts in unknown_queries_, exactly like an
-  // unknown key), routes through the arena or the piece walk, and
-  // samples latency. `vm` is whatever the caller's acquisition strategy
-  // produced — a freshly acquired shared_ptr (string path) or the
-  // thread's lease (handle path).
+  // unknown key), answers from the arena, and samples latency. `vm` is
+  // whatever the caller's acquisition strategy produced — a freshly
+  // acquired shared_ptr (string path) or the thread's lease (handle
+  // path).
   double EstimateOnState(KeyState& state, const VersionedModel* vm,
                          std::int64_t lo, std::int64_t hi) const;
 
@@ -427,7 +435,9 @@ class HistogramEngine {
 
   // Pushes one op, bumps the key's update count, and runs the publish
   // cadence; returns the key's state so the caller can settle the
-  // insert/delete counter after the counted work.
+  // insert/delete counter after the counted work. An op whose value is
+  // outside [kMinValue, kMaxValue] is counted as rejected instead, and
+  // nullptr returned.
   KeyState* Update(std::string_view key, const UpdateOp& op);
 
   // After accepting new updates: publish (sync) or enqueue a publish
@@ -446,9 +456,9 @@ class HistogramEngine {
   // under queue_mu_.
   void EnsureWorkersLocked();
 
-  // Flush + superimpose + reduce + atomic publish. Returns the snapshot.
-  // The second overload runs under an already-held publish lock.
-  // `trigger` names what drove the publication ("sync", "async",
+  // Flush + superimpose + reduce + compile + atomic publish. Returns the
+  // snapshot. The second overload runs under an already-held publish
+  // lock. `trigger` names what drove the publication ("sync", "async",
   // "refresh", "background") for the trace.
   EngineSnapshot Publish(KeyState& state, const char* trigger);
   EngineSnapshot Publish(KeyState& state,

@@ -20,10 +20,10 @@
 #include <string>
 #include <vector>
 
-#include "src/distributed/global_histogram.h"
 #include "src/engine/engine_options.h"
 #include "src/engine/shard.h"
 #include "src/engine/snapshot.h"
+#include "src/histogram/merge.h"
 
 namespace dynhist::engine::internal {
 
@@ -34,8 +34,8 @@ struct KeyCounters {
   std::atomic<std::uint64_t> deletes{0};
   std::atomic<std::uint64_t> feedbacks{0};
   std::atomic<std::uint64_t> rejected_feedbacks{0};
+  std::atomic<std::uint64_t> rejected_values{0};
   std::atomic<std::uint64_t> queries{0};
-  std::atomic<std::uint64_t> fallback_queries{0};
   std::atomic<std::uint64_t> lease_hits{0};
   std::atomic<std::uint64_t> lease_misses{0};
   std::atomic<std::uint64_t> publishes{0};
@@ -91,9 +91,7 @@ struct KeyState {
   // SetKeyOptions stores concurrently.
   std::atomic<std::int64_t> snapshot_every;
   std::atomic<std::int64_t> merged_buckets;
-  std::atomic<bool> legacy_reduce;
   std::atomic<bool> async_publish;
-  std::atomic<bool> compile_snapshots;
 
   // Async publish state: `publish_pending` is true while a request for
   // this key sits in the queue — further cadence trips coalesce into it
@@ -129,7 +127,7 @@ struct KeyState {
   // so a steady-state publisher allocates nothing proportional to the
   // shard count or piece count.
   std::vector<HistogramModel> model_scratch;
-  distributed::SnapshotMerger merger;
+  SnapshotMerger merger;
 };
 
 }  // namespace dynhist::engine::internal

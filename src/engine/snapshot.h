@@ -1,20 +1,18 @@
 // Immutable engine snapshots: the read side of the concurrent engine.
 //
 // A snapshot is a HistogramModel plus the epoch at which it was published
-// — and, when the engine compiled it (EngineOptions::compile_snapshots,
-// the default), the model's CompiledSnapshot arena: contiguous border /
-// prefix-CDF arrays that answer EstimateRange with two branch-free
-// lower_bound lookups instead of a piece-list walk. The engine publishes
-// snapshots by atomically swapping a shared_ptr, so a reader's
+// and the model's CompiledSnapshot arena, built at every publish:
+// contiguous border / prefix-CDF arrays that answer EstimateRange with two
+// branch-free upper_bound lookups instead of a piece-list walk. The engine
+// publishes snapshots by atomically swapping a shared_ptr, so a reader's
 // EngineSnapshot is a stable view: it stays valid and unchanged for as
 // long as the reader holds it, no matter how many updates or newer
 // publications happen concurrently.
 //
-// Estimation here touches no locks and allocates nothing on either path:
-// compiled queries read the arena, and the fallback (compilation off, or
-// the implicit epoch-0 empty snapshot) calls the model's estimators
-// directly — there is no per-call estimator object to construct. The two
-// paths are bit-identical by the CompiledSnapshot parity contract.
+// Estimation here touches no locks and allocates nothing: queries read the
+// arena, bit-identical to the model's piece walk by the CompiledSnapshot
+// parity contract. The implicit epoch-0 snapshot has an absent arena,
+// which answers 0 everywhere, as its empty model does.
 
 #ifndef DYNHIST_ENGINE_SNAPSHOT_H_
 #define DYNHIST_ENGINE_SNAPSHOT_H_
@@ -42,9 +40,7 @@ struct VersionedModel {
   std::uint64_t watermark = 0;
 
   /// The model compiled to its flat prefix-CDF arena at publish time.
-  /// Absent (attached() == false) when the publishing engine had
-  /// compile_snapshots off and for the implicit epoch-0 snapshot;
-  /// queries then walk the model's pieces.
+  /// Absent (attached() == false) only for the implicit epoch-0 snapshot.
   CompiledSnapshot compiled;
 };
 
@@ -67,10 +63,9 @@ class EngineSnapshot {
   /// The underlying immutable model.
   const HistogramModel& model() const { return state_->model; }
 
-  /// The flat query arena compiled at publish time, or nullptr when this
-  /// snapshot was published without compilation (or is the empty epoch-0
-  /// view). Exposed for the parity tests and as the distributed tier's
-  /// zero-copy wire payload.
+  /// The flat query arena compiled at publish time, or nullptr for the
+  /// empty epoch-0 view. Exposed for the parity tests and as the
+  /// distributed tier's zero-copy wire payload.
   const CompiledSnapshot* compiled() const {
     return state_->compiled.attached() ? &state_->compiled : nullptr;
   }
@@ -80,9 +75,7 @@ class EngineSnapshot {
 
   /// Estimated number of tuples with lo <= A <= hi.
   double EstimateRange(std::int64_t lo, std::int64_t hi) const {
-    const VersionedModel& s = *state_;
-    return s.compiled.attached() ? s.compiled.EstimateRange(lo, hi)
-                                 : s.model.EstimateRange(lo, hi);
+    return state_->compiled.EstimateRange(lo, hi);
   }
 
   /// Estimated number of tuples with A = v.

@@ -3,76 +3,49 @@
 // "The cost of executing a relational operator is a function of the sizes
 // of the tuple streams that are input to the operator" — the whole point of
 // maintaining histograms is answering selectivity questions for query
-// predicates. This module is that front end: given any histogram snapshot,
+// predicates. This module is that front end: given any histogram model,
 // it estimates the selectivity (result fraction) and cardinality (result
 // size) of the predicate shapes the paper discusses — equality, closed
 // ranges (a <= A <= b), and open ranges (A <= b, A >= a).
 //
-// Backends: the estimator is a cheap, allocation-free view over either a
-// HistogramModel (piece-walk binary search) or a CompiledSnapshot (the
-// flat prefix-CDF arena built at publish time; branch-free lower_bound).
-// Construct from whichever you hold — answers are bit-identical by the
-// CompiledSnapshot parity contract — or from both, in which case the
-// compiled arena serves every query. Single-threaded users can compile
-// any model once (CompiledSnapshot::Compile) and point the estimator at
-// it to get the engine's fast query path without an engine.
+// The estimator is a cheap, allocation-free view over one HistogramModel.
+// Engine readers get the compiled arena's fast path through EngineSnapshot
+// (src/engine/snapshot.h) instead; its answers are bit-identical.
 
 #ifndef DYNHIST_ESTIMATE_SELECTIVITY_H_
 #define DYNHIST_ESTIMATE_SELECTIVITY_H_
 
 #include <cstdint>
 
-#include "src/common/check.h"
-#include "src/histogram/compiled_snapshot.h"
 #include "src/histogram/model.h"
 
 namespace dynhist {
 
-/// Selectivity estimates against one histogram snapshot. The estimator
-/// borrows its backend(s); it must not outlive them.
+/// Selectivity estimates against one histogram model. The estimator
+/// borrows the model; it must not outlive it.
 class SelectivityEstimator {
  public:
   explicit SelectivityEstimator(const HistogramModel& model)
-      : model_(&model), compiled_(nullptr) {}
-
-  /// Compiled-only backend; `compiled` must be attached.
-  explicit SelectivityEstimator(const CompiledSnapshot& compiled)
-      : model_(nullptr), compiled_(&compiled) {
-    DH_CHECK(compiled.attached());
-  }
-
-  /// Both views of one snapshot: queries run on the compiled arena when
-  /// it is attached, on the model otherwise. This is the form the engine
-  /// snapshot wraps.
-  SelectivityEstimator(const HistogramModel& model,
-                       const CompiledSnapshot* compiled)
-      : model_(&model),
-        compiled_(compiled != nullptr && compiled->attached() ? compiled
-                                                              : nullptr) {}
-
-  /// True when queries run on the flat arena rather than the piece walk.
-  bool compiled() const { return compiled_ != nullptr; }
+      : model_(&model) {}
 
   /// Estimated number of tuples with A = v.
   double CardinalityEquals(std::int64_t v) const {
-    return compiled_ != nullptr ? compiled_->EstimatePoint(v)
-                                : model_->EstimatePoint(v);
+    return model_->EstimatePoint(v);
   }
 
   /// Estimated number of tuples with lo <= A <= hi.
   double CardinalityRange(std::int64_t lo, std::int64_t hi) const {
-    return compiled_ != nullptr ? compiled_->EstimateRange(lo, hi)
-                                : model_->EstimateRange(lo, hi);
+    return model_->EstimateRange(lo, hi);
   }
 
   /// Estimated number of tuples with A <= hi.
   double CardinalityAtMost(std::int64_t hi) const {
-    return CdfAt(static_cast<double>(hi) + 1.0);
+    return model_->CdfMass(static_cast<double>(hi) + 1.0);
   }
 
   /// Estimated number of tuples with A >= lo.
   double CardinalityAtLeast(std::int64_t lo) const {
-    return Total() - CdfAt(static_cast<double>(lo));
+    return model_->TotalCount() - model_->CdfMass(static_cast<double>(lo));
   }
 
   /// Selectivities: the above as fractions of the relation (0 when empty).
@@ -90,22 +63,12 @@ class SelectivityEstimator {
   }
 
  private:
-  double CdfAt(double x) const {
-    return compiled_ != nullptr ? compiled_->CdfMass(x) : model_->CdfMass(x);
-  }
-
-  double Total() const {
-    return compiled_ != nullptr ? compiled_->TotalCount()
-                                : model_->TotalCount();
-  }
-
   double Fraction(double cardinality) const {
-    const double total = Total();
+    const double total = model_->TotalCount();
     return total > 0.0 ? cardinality / total : 0.0;
   }
 
-  const HistogramModel* model_;        // null in compiled-only form
-  const CompiledSnapshot* compiled_;   // null => piece-walk backend
+  const HistogramModel* model_;
 };
 
 }  // namespace dynhist

@@ -13,7 +13,7 @@
 //     rows[n + 1]    {left, count, width, prefix} per piece, 32-byte rows,
 //                    plus a sentinel row whose prefix is the total mass
 //
-// and EstimateRange(lo, hi) becomes two branch-free lower_bound lookups
+// and EstimateRange(lo, hi) becomes two branch-free upper_bound lookups
 // over `rights` (run interleaved, so their dependent-load chains overlap)
 // plus an interpolated prefix subtraction: O(log pieces), no allocation,
 // no piece-struct pointer chasing, one predictable dispatch branch. The
@@ -78,8 +78,8 @@ bool SimdActive();
 
 /// The flat, immutable, query-optimized form of one HistogramModel.
 /// Default-constructed instances are "absent" (attached() == false) — the
-/// state of a snapshot published with compilation disabled; an absent
-/// arena answers 0 everywhere, so callers route on attached().
+/// state of the engine's implicit epoch-0 snapshot; an absent arena
+/// answers 0 everywhere.
 class CompiledSnapshot {
  public:
   /// One piece's payload row plus the running prefix mass. 32 bytes; the

@@ -21,10 +21,10 @@
 #include "src/distributed/frame.h"
 #include "src/distributed/frame_client.h"
 #include "src/distributed/frame_server.h"
-#include "src/distributed/global_histogram.h"
 #include "src/distributed/site_shipper.h"
 #include "src/engine/histogram_engine.h"
 #include "src/histogram/compiled_snapshot.h"
+#include "src/histogram/merge.h"
 #include "src/histogram/model.h"
 #include "src/telemetry/exposition.h"
 
@@ -105,8 +105,7 @@ TEST_F(LoopbackTest, SiteEnginesBitIdenticalAndReshipIsNoOp) {
       models.push_back(std::move(model));
     }
     SnapshotMerger merger;
-    const HistogramModel merged =
-        merger.MergeAndReduce(models, 64, ReduceMode::kPieces);
+    const HistogramModel merged = merger.MergeAndReduce(models, 64);
     const CompiledSnapshot compiled = CompiledSnapshot::Compile(merged);
     Rng rng(99);
     for (int q = 0; q < 300; ++q) {
@@ -191,8 +190,7 @@ TEST_F(LoopbackTest, AdversarialFractionalBordersBitIdentical) {
   }
 
   SnapshotMerger merger;
-  const HistogramModel merged =
-      merger.MergeAndReduce(site_models, 64, ReduceMode::kPieces);
+  const HistogramModel merged = merger.MergeAndReduce(site_models, 64);
   const CompiledSnapshot compiled = CompiledSnapshot::Compile(merged);
   for (std::int64_t lo = 0; lo < 1000; lo += 13) {
     for (const std::int64_t width : {0, 7, 100, 555}) {

@@ -4,6 +4,7 @@
 
 #include "src/distributed/site.h"
 #include "src/histogram/budget.h"
+#include "src/histogram/merge.h"
 #include "src/histogram/ssbm.h"
 #include "src/metrics/ks.h"
 #include "tests/test_util.h"

@@ -251,7 +251,7 @@ TEST(EngineAsyncTest, PerKeySnapshotCadenceOverridesGlobal) {
   EXPECT_EQ(engine.EffectiveOptions("cold").snapshot_every, 0);
 }
 
-TEST(EngineAsyncTest, PerKeyMergedBucketsAndReduceModeOverrideGlobal) {
+TEST(EngineAsyncTest, PerKeyMergedBucketsOverrideGlobal) {
   EngineOptions options;
   options.shards = 4;
   options.batch_size = 1;
@@ -260,24 +260,17 @@ TEST(EngineAsyncTest, PerKeyMergedBucketsAndReduceModeOverrideGlobal) {
   options.merged_buckets = 64;
   HistogramEngine engine(options);
   engine.SetKeyOptions("small", {.merged_buckets = 8});
-  engine.SetKeyOptions("legacy", {.use_legacy_cell_reduce = true});
 
   const auto values = ZipfValues(5'000, /*seed=*/61);
   for (const std::int64_t v : values) {
     engine.Insert("small", v);
-    engine.Insert("legacy", v);
     engine.Insert("wide", v);
   }
   const EngineSnapshot small = engine.RefreshSnapshot("small");
-  const EngineSnapshot legacy = engine.RefreshSnapshot("legacy");
   const EngineSnapshot wide = engine.RefreshSnapshot("wide");
 
   EXPECT_LE(small.model().NumBuckets(), 8u);
   EXPECT_GT(wide.model().NumBuckets(), 8u);
-  // DC shard borders are integer-aligned, where the legacy cell reduction
-  // is exact — the per-key reduce-mode override must reproduce the global
-  // pieces-mode result (same shard contents, near-identical shape).
-  EXPECT_NEAR(legacy.TotalCount(), wide.TotalCount(), 1e-6);
   EXPECT_DOUBLE_EQ(small.TotalCount(), wide.TotalCount());
 }
 

@@ -167,43 +167,39 @@ TEST(EngineHandleTest, EvictionUnderManyKeysStaysCorrectAndBounded) {
 }
 
 // Batch answers are exactly what the scalar calls return — same lease,
-// same expressions — on both the compiled-arena and piece-walk paths,
-// and batch counter settling is per span, not per query.
+// same expressions — and the arena's answers equal the published model's
+// piece walk; batch counter settling is per span, not per query.
 TEST(EngineHandleTest, BatchParityWithScalarQueries) {
-  for (const bool compile : {true, false}) {
-    EngineOptions options = TestOptions();
-    options.compile_snapshots = compile;
-    HistogramEngine engine(options);
-    Rng rng(21);
-    for (int i = 0; i < 20'000; ++i) {
-      engine.Insert(kKey, static_cast<std::int64_t>(
-                              rng.UniformInt(0, kDomain - 1)));
-    }
-    engine.RefreshSnapshot(kKey);
-    const KeyHandle h = engine.Resolve(kKey);
-
-    std::vector<RangeQuery> queries;
-    for (int q = 0; q < 256; ++q) {
-      const auto lo =
-          static_cast<std::int64_t>(rng.UniformInt(0, kDomain - 1));
-      queries.push_back(
-          {lo, std::min<std::int64_t>(kDomain - 1, lo + 200)});
-    }
-    const std::vector<double> batch = engine.EstimateRangeBatch(h, queries);
-    ASSERT_EQ(batch.size(), queries.size());
-    const EngineStats after_batch = engine.Stats(h);
-    EXPECT_EQ(after_batch.queries, 256u);
-    EXPECT_EQ(after_batch.fallback_queries, compile ? 0u : 256u);
-
-    for (std::size_t q = 0; q < queries.size(); ++q) {
-      EXPECT_EQ(batch[q],
-                engine.EstimateRange(h, queries[q].lo, queries[q].hi))
-          << "query " << q << " compile=" << compile;
-    }
-    // Empty span: no lease touch, no counters.
-    engine.EstimateRangeBatch(h, nullptr, 0, nullptr);
-    EXPECT_EQ(engine.Stats(h).queries, 512u);
+  HistogramEngine engine(TestOptions());
+  Rng rng(21);
+  for (int i = 0; i < 20'000; ++i) {
+    engine.Insert(kKey, static_cast<std::int64_t>(
+                            rng.UniformInt(0, kDomain - 1)));
   }
+  const EngineSnapshot snapshot = engine.RefreshSnapshot(kKey);
+  const KeyHandle h = engine.Resolve(kKey);
+
+  std::vector<RangeQuery> queries;
+  for (int q = 0; q < 256; ++q) {
+    const auto lo =
+        static_cast<std::int64_t>(rng.UniformInt(0, kDomain - 1));
+    queries.push_back({lo, std::min<std::int64_t>(kDomain - 1, lo + 200)});
+  }
+  const std::vector<double> batch = engine.EstimateRangeBatch(h, queries);
+  ASSERT_EQ(batch.size(), queries.size());
+  EXPECT_EQ(engine.Stats(h).queries, 256u);
+
+  for (std::size_t q = 0; q < queries.size(); ++q) {
+    EXPECT_EQ(batch[q],
+              engine.EstimateRange(h, queries[q].lo, queries[q].hi))
+        << "query " << q;
+    EXPECT_EQ(batch[q],
+              snapshot.model().EstimateRange(queries[q].lo, queries[q].hi))
+        << "query " << q;
+  }
+  // Empty span: no lease touch, no counters.
+  engine.EstimateRangeBatch(h, nullptr, 0, nullptr);
+  EXPECT_EQ(engine.Stats(h).queries, 512u);
 }
 
 // The regression pinned by the satellite fix: an unknown key and a known

@@ -6,6 +6,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <thread>
@@ -315,26 +316,71 @@ TEST(HistogramEngineTest, RecordFeedbackDropsInfiniteActual) {
   ExpectFeedbackRejected(10, 20, std::numeric_limits<double>::infinity());
 }
 
-TEST(HistogramEngineTest, LegacyCellReduceMatchesPiecesReduce) {
-  // DC shard models have integer-aligned borders, where cell
-  // rasterization is exact and the two reduction flavors must coincide.
-  // (DVO/DADO sub-bucket fragments can have fractional borders the cell
-  // grid cannot represent; see merge_pipeline_test for that comparison.)
-  const auto values = ZipfValues(20'000, 13);
-  EngineOptions pieces = TestOptions();
-  pieces.kind = ShardHistogramKind::kDynamicCompressed;
-  EngineOptions cells = pieces;
-  cells.use_legacy_cell_reduce = true;
-  HistogramEngine a(pieces);
-  HistogramEngine b(cells);
-  a.InsertBatch(kKey, values);
-  b.InsertBatch(kKey, values);
-  const EngineSnapshot sa = a.RefreshSnapshot(kKey);
-  const EngineSnapshot sb = b.RefreshSnapshot(kKey);
-  EXPECT_NEAR(sa.TotalCount(), sb.TotalCount(), 1e-6);
-  // Same shard contents, so the two reduction flavors must land on models
-  // of (near) identical shape.
-  EXPECT_LT(KsBetweenModels(sa.model(), sb.model()), 1e-9);
+TEST(HistogramEngineTest, OutOfDomainValuesAreDroppedAndCounted) {
+  // Past 2^53 a value's piece [v, v + 1) has zero width in double
+  // arithmetic, and publishing it would abort the process (and with it
+  // every key). Insert, Delete and InsertBatch drop values outside
+  // [kMinValue, kMaxValue] and count them; the domain's edge values stay
+  // accepted, with cadence publishes running in between.
+  const std::int64_t outside[] = {kMaxValue + 1, kMaxValue + 2,
+                                  kMinValue - 1,
+                                  std::numeric_limits<std::int64_t>::max(),
+                                  std::numeric_limits<std::int64_t>::min()};
+  constexpr std::uint64_t kOutside = std::size(outside);
+  for (const ShardHistogramKind kind :
+       {ShardHistogramKind::kDynamicCompressed,
+        ShardHistogramKind::kDynamicVOpt, ShardHistogramKind::kDynamicAdo}) {
+    for (const std::int64_t edge : {kMaxValue, kMinValue}) {
+      const std::int64_t inward = edge == kMaxValue ? -1 : 1;
+      EngineOptions options = TestOptions();
+      options.kind = kind;
+      options.snapshot_every = 256;
+      HistogramEngine engine(options);
+      std::uint64_t inserts = 0, deletes = 0;
+      for (std::int64_t i = 0; i < 2'000; ++i) {
+        engine.Insert(kKey, edge + inward * (i % 700));
+        ++inserts;
+        if (i % 3 == 2) {
+          engine.Delete(kKey, edge + inward * (i % 700));
+          ++deletes;
+        }
+        if (i % 400 == 0) {
+          for (const std::int64_t v : outside) {
+            engine.Insert(kKey, v);
+            engine.Delete(kKey, v);
+          }
+        }
+      }
+      std::vector<std::int64_t> batch(std::begin(outside),
+                                      std::end(outside));
+      batch.push_back(edge);
+      batch.push_back(edge + inward * 5);
+      engine.InsertBatch(kKey, batch);
+      inserts += 2;
+      engine.InsertBatch(kKey, {outside[0], outside[2]});
+
+      const EngineSnapshot snapshot = engine.RefreshSnapshot(kKey);
+      SCOPED_TRACE(::testing::Message() << "kind "
+                                        << static_cast<int>(kind)
+                                        << ", edge " << edge);
+      EXPECT_EQ(engine.LiveTotalCount(kKey),
+                static_cast<double>(inserts - deletes));
+      EXPECT_GT(snapshot.epoch(), 1u);
+      EXPECT_NEAR(snapshot.TotalCount(),
+                  static_cast<double>(inserts - deletes), 1e-6);
+      const EngineStats stats = engine.Stats(kKey);
+      EXPECT_EQ(stats.inserts, inserts);
+      EXPECT_EQ(stats.deletes, deletes);
+      const std::uint64_t rejected = 5 * 2 * kOutside + kOutside + 2;
+      EXPECT_EQ(stats.rejected_values, rejected);
+      std::string text;
+      engine.WriteMetricsPrometheus(&text);
+      EXPECT_NE(text.find("dynhist_key_rejected_ops_total{key=\"t.a\","
+                          "reason=\"domain\"} " +
+                          std::to_string(rejected) + "\n"),
+                std::string::npos);
+    }
+  }
 }
 
 TEST(HistogramEngineTest, DynamicCompressedKindWorks) {
@@ -456,7 +502,7 @@ TEST(HistogramEngineTest, BackgroundThreadPublishesWithoutManualRefresh) {
 }
 
 TEST(HistogramEngineTest, PublishAttachesCompiledSnapshot) {
-  HistogramEngine engine(TestOptions());  // compile_snapshots defaults on
+  HistogramEngine engine(TestOptions());
   EXPECT_EQ(engine.Snapshot(kKey).compiled(), nullptr);  // epoch-0: absent
   for (const std::int64_t v : ZipfValues(5'000, 21)) engine.Insert(kKey, v);
   const EngineSnapshot snapshot = engine.RefreshSnapshot(kKey);
@@ -472,46 +518,6 @@ TEST(HistogramEngineTest, PublishAttachesCompiledSnapshot) {
     EXPECT_EQ(snapshot.EstimateRange(lo, hi),
               snapshot.model().EstimateRange(lo, hi));
   }
-}
-
-TEST(HistogramEngineTest, CompilationOffFallsBackToPieceWalkWithParity) {
-  EngineOptions off = TestOptions();
-  off.compile_snapshots = false;
-  HistogramEngine walk(off);
-  HistogramEngine fast(TestOptions());
-  for (const std::int64_t v : ZipfValues(5'000, 22)) {
-    walk.Insert(kKey, v);
-    fast.Insert(kKey, v);
-  }
-  const EngineSnapshot walk_snap = walk.RefreshSnapshot(kKey);
-  const EngineSnapshot fast_snap = fast.RefreshSnapshot(kKey);
-  EXPECT_EQ(walk_snap.compiled(), nullptr);
-  ASSERT_NE(fast_snap.compiled(), nullptr);
-  ASSERT_TRUE(
-      testing::ModelsBitIdentical(walk_snap.model(), fast_snap.model()));
-  for (std::int64_t lo = 0; lo < kDomain; lo += 41) {
-    const std::int64_t hi = std::min<std::int64_t>(kDomain - 1, lo + 250);
-    EXPECT_EQ(walk.EstimateRange(kKey, lo, hi),
-              fast.EstimateRange(kKey, lo, hi));
-  }
-  // The piece-walk engine counted its queries as fallbacks; the compiled
-  // engine served every one from the arena.
-  EXPECT_GT(walk.Stats(kKey).fallback_queries, 0u);
-  EXPECT_EQ(walk.Stats(kKey).fallback_queries, walk.Stats(kKey).queries);
-  EXPECT_EQ(fast.Stats(kKey).fallback_queries, 0u);
-}
-
-TEST(HistogramEngineTest, PerKeyCompileOverrideTakesEffectNextPublish) {
-  HistogramEngine engine(TestOptions());
-  KeyOptionOverrides o;
-  o.compile_snapshots = false;
-  engine.SetKeyOptions(kKey, o);
-  EXPECT_FALSE(engine.EffectiveOptions(kKey).compile_snapshots);
-  for (const std::int64_t v : ZipfValues(2'000, 23)) engine.Insert(kKey, v);
-  EXPECT_EQ(engine.RefreshSnapshot(kKey).compiled(), nullptr);
-  o.compile_snapshots = true;
-  engine.SetKeyOptions(kKey, o);
-  EXPECT_NE(engine.RefreshSnapshot(kKey).compiled(), nullptr);
 }
 
 TEST(HistogramEngineTest, CompiledQueriesSeePublishedEpochsLockFree) {
@@ -560,8 +566,6 @@ TEST(HistogramEngineTest, CompiledQueriesSeePublishedEpochsLockFree) {
   for (auto& t : readers) t.join();
   EXPECT_TRUE(ok.load());
   EXPECT_GT(reads.load(), 0u);
-  // With compilation on, none of those estimate reads fell back.
-  EXPECT_EQ(engine.Stats(kKey).fallback_queries, 0u);
   const EngineSnapshot final_snap = engine.RefreshSnapshot(kKey);
   ASSERT_NE(final_snap.compiled(), nullptr);
   EXPECT_EQ(final_snap.compiled()->TotalCount(),

@@ -1,9 +1,11 @@
-// Parity suite for the domain-independent snapshot-merge pipeline: the
-// piece-sweep Superimpose must reproduce the legacy range-scan
-// superposition, and the streaming (piece-slice) SSBM reduction must
-// reproduce the legacy per-integer-cell reduction wherever the cell grid
-// can represent the composite — across DC/DVO/DADO shard mixes, gaps, and
-// adversarial border overlaps.
+// Parity suite for the domain-independent snapshot-merge pipeline
+// (src/histogram/merge.h): the piece-sweep Superimpose must reproduce the
+// legacy range-scan superposition, and the streaming (piece-slice) SSBM
+// reduction must reproduce the legacy per-integer-cell reduction wherever
+// the cell grid can represent the composite — across DC/DVO/DADO shard
+// mixes, gaps, and adversarial border overlaps. The legacy paths live in
+// tests/merge_reference.h. Digest pins hold the merge core's outputs bit
+// for bit.
 
 #include <gtest/gtest.h>
 
@@ -13,18 +15,21 @@
 
 #include "src/common/rng.h"
 #include "src/common/zipf.h"
-#include "src/distributed/global_histogram.h"
 #include "src/histogram/dynamic_compressed.h"
 #include "src/histogram/dynamic_vopt.h"
 #include "src/histogram/histogram.h"
+#include "src/histogram/merge.h"
 #include "src/histogram/ssbm.h"
 #include "src/metrics/ks.h"
+#include "tests/merge_reference.h"
 #include "tests/test_util.h"
 
-namespace dynhist::distributed {
+namespace dynhist {
 namespace {
 
 using Piece = HistogramModel::Piece;
+using testing::ReduceWithSsbmCells;
+using testing::SuperimposeLegacy;
 
 // Replays a Zipf(z) insert stream (optionally with interleaved deletes of
 // previously inserted values) into `histogram` and returns its model.
@@ -177,7 +182,7 @@ TEST(PieceSweepSuperimposeTest, EmptyAndSingleInputs) {
 TEST(PieceSweepSuperimposeTest, DegenerateInputsPinnedAcrossThePipeline) {
   // PR 9 regression pins: a site fleet that has published nothing yet
   // (or whose engines are all empty) flows through the whole merge
-  // pipeline — superposition, both reduction modes, the merger — and
+  // pipeline — superposition, both reductions, the merger — and
   // must come out as a well-formed empty model, never an abort. The
   // aggregator leans on this when frames race ahead of data.
   EXPECT_TRUE(Superimpose({HistogramModel(), HistogramModel()}).Empty());
@@ -185,25 +190,19 @@ TEST(PieceSweepSuperimposeTest, DegenerateInputsPinnedAcrossThePipeline) {
   EXPECT_TRUE(
       SuperimposeLegacy({HistogramModel(), HistogramModel()}).Empty());
 
-  // Reducing an empty composite is a no-op in both modes.
-  EXPECT_TRUE(
-      ReduceWithSsbm(HistogramModel(), 64, ReduceMode::kPieces).Empty());
-  EXPECT_TRUE(
-      ReduceWithSsbm(HistogramModel(), 64, ReduceMode::kCells).Empty());
+  // Reducing an empty composite is a no-op in both reductions.
+  EXPECT_TRUE(ReduceWithSsbm(HistogramModel(), 64).Empty());
+  EXPECT_TRUE(ReduceWithSsbmCells(HistogramModel(), 64).Empty());
 
   // The stateful merger (the aggregator's actual entry point).
   SnapshotMerger merger;
   EXPECT_TRUE(merger.Superimpose({}).Empty());
-  EXPECT_TRUE(merger.MergeAndReduce({}, 64, ReduceMode::kPieces).Empty());
-  EXPECT_TRUE(merger.MergeAndReduce({}, 64, ReduceMode::kCells).Empty());
-  EXPECT_TRUE(merger
-                  .MergeAndReduce({HistogramModel(), HistogramModel()}, 64,
-                                  ReduceMode::kPieces)
-                  .Empty());
+  EXPECT_TRUE(merger.MergeAndReduce({}, 64).Empty());
+  EXPECT_TRUE(
+      merger.MergeAndReduce({HistogramModel(), HistogramModel()}, 64).Empty());
   // A merger that just saw empties still merges real input correctly.
   const auto a = HistogramModel::FromSimpleBuckets({{3.0, 8.0, 2.5}});
-  const HistogramModel u =
-      merger.MergeAndReduce({HistogramModel(), a}, 64, ReduceMode::kPieces);
+  const HistogramModel u = merger.MergeAndReduce({HistogramModel(), a}, 64);
   EXPECT_DOUBLE_EQ(u.TotalCount(), 2.5);
   EXPECT_LT(KsBetweenModels(u, a), 1e-12);
 }
@@ -212,10 +211,8 @@ TEST(StreamingReduceTest, PiecesMatchCellsBitForBitOnCellAlignedFleet) {
   const auto models = DcShardModels(2'001, 4'000, 0.1, 11);
   const HistogramModel composite = Superimpose(models);
   for (const std::int64_t buckets : {8, 16, 32, 64}) {
-    const HistogramModel pieces =
-        ReduceWithSsbm(composite, buckets, ReduceMode::kPieces);
-    const HistogramModel cells =
-        ReduceWithSsbm(composite, buckets, ReduceMode::kCells);
+    const HistogramModel pieces = ReduceWithSsbm(composite, buckets);
+    const HistogramModel cells = ReduceWithSsbmCells(composite, buckets);
     EXPECT_NEAR(pieces.TotalCount(), cells.TotalCount(),
                 1e-9 * (1.0 + cells.TotalCount()));
     EXPECT_LT(KsBetweenModels(pieces, cells), 1e-9) << buckets << " buckets";
@@ -232,10 +229,8 @@ TEST(StreamingReduceTest, PiecesTrackCellsQualityOnMixedFleet) {
   const auto models = MixedShardModels(2'001, 4'000, 0.1, 23);
   const HistogramModel composite = Superimpose(models);
   for (const std::int64_t buckets : {16, 64}) {
-    const HistogramModel pieces =
-        ReduceWithSsbm(composite, buckets, ReduceMode::kPieces);
-    const HistogramModel cells =
-        ReduceWithSsbm(composite, buckets, ReduceMode::kCells);
+    const HistogramModel pieces = ReduceWithSsbm(composite, buckets);
+    const HistogramModel cells = ReduceWithSsbmCells(composite, buckets);
     EXPECT_NEAR(pieces.TotalCount(), cells.TotalCount(),
                 1e-6 * (1.0 + cells.TotalCount()));
     const double ks_pieces = KsBetweenModels(pieces, composite);
@@ -247,8 +242,7 @@ TEST(StreamingReduceTest, PiecesTrackCellsQualityOnMixedFleet) {
 TEST(StreamingReduceTest, BudgetAbovePieceCountIsExact) {
   const auto a = HistogramModel::FromSimpleBuckets(
       {{0.0, 4.0, 8.0}, {4.0, 6.0, 1.0}, {9.0, 12.0, 6.0}});
-  const HistogramModel reduced =
-      ReduceWithSsbm(a, 16, ReduceMode::kPieces);
+  const HistogramModel reduced = ReduceWithSsbm(a, 16);
   EXPECT_LT(KsBetweenModels(reduced, a), 1e-12);
   EXPECT_DOUBLE_EQ(reduced.TotalCount(), a.TotalCount());
 }
@@ -256,11 +250,11 @@ TEST(StreamingReduceTest, BudgetAbovePieceCountIsExact) {
 TEST(StreamingReduceTest, DropsZeroMassPieces) {
   // Zero-density support kept by Superimpose is empty space to SSBM (the
   // cell path always filtered it); the reduced support is the nonzero
-  // support under both modes.
+  // support under both reductions.
   const auto a = HistogramModel::FromSimpleBuckets(
       {{0.0, 10.0, 0.0}, {10.0, 20.0, 5.0}, {20.0, 30.0, 0.0}});
-  const HistogramModel pieces = ReduceWithSsbm(a, 4, ReduceMode::kPieces);
-  const HistogramModel cells = ReduceWithSsbm(a, 4, ReduceMode::kCells);
+  const HistogramModel pieces = ReduceWithSsbm(a, 4);
+  const HistogramModel cells = ReduceWithSsbmCells(a, 4);
   EXPECT_DOUBLE_EQ(pieces.MinBorder(), 10.0);
   EXPECT_DOUBLE_EQ(pieces.MaxBorder(), 20.0);
   EXPECT_LT(KsBetweenModels(pieces, cells), 1e-9);
@@ -272,16 +266,105 @@ TEST(SnapshotMergerTest, ReusedMergerMatchesFreeFunctions) {
     const auto models = MixedShardModels(1'001, 2'000, 0.2, seed);
     const HistogramModel composite = merger.Superimpose(models);
     EXPECT_LT(KsBetweenModels(composite, Superimpose(models)), 1e-12);
-    const HistogramModel reduced =
-        merger.MergeAndReduce(models, 32, ReduceMode::kPieces);
-    const HistogramModel want =
-        ReduceWithSsbm(Superimpose(models), 32, ReduceMode::kPieces);
+    const HistogramModel reduced = merger.MergeAndReduce(models, 32);
+    const HistogramModel want = ReduceWithSsbm(Superimpose(models), 32);
     EXPECT_NEAR(reduced.TotalCount(), want.TotalCount(), 1e-9);
     EXPECT_LT(KsBetweenModels(reduced, want), 1e-12);
     // buckets <= 0 publishes the composite unreduced.
-    const HistogramModel unreduced =
-        merger.MergeAndReduce(models, 0, ReduceMode::kPieces);
+    const HistogramModel unreduced = merger.MergeAndReduce(models, 0);
     EXPECT_LT(KsBetweenModels(unreduced, composite), 1e-12);
+  }
+}
+
+// Seeded 8-model fleet of one backend kind: the merge core's pin input.
+std::vector<HistogramModel> KindFleet(engine::ShardHistogramKind kind,
+                                      std::uint64_t seed) {
+  std::vector<HistogramModel> models;
+  for (std::uint64_t i = 0; i < 8; ++i) {
+    std::unique_ptr<Histogram> h;
+    if (kind == engine::ShardHistogramKind::kDynamicCompressed) {
+      h = std::make_unique<DynamicCompressedHistogram>(
+          DynamicCompressedConfig{.buckets = 32, .alpha_min = 1e-6});
+    } else {
+      h = std::make_unique<DynamicVOptHistogram>(DynamicVOptConfig{
+          .buckets = 32,
+          .policy = kind == engine::ShardHistogramKind::kDynamicVOpt
+                        ? DeviationPolicy::kSquared
+                        : DeviationPolicy::kAbsolute,
+          .sub_buckets = 2});
+    }
+    const double z = 0.5 + 0.25 * static_cast<double>(i % 4);
+    models.push_back(ReplayModel(*h, 2'001, 3'000, z, 0.1, seed + i));
+  }
+  return models;
+}
+
+// One engine of `kind` fed a seeded insert/delete stream, with sync
+// publishes on the cadence and a final refresh.
+HistogramModel EngineFinalModel(engine::ShardHistogramKind kind) {
+  engine::EngineOptions options;
+  options.kind = kind;
+  options.batch_size = 16;
+  options.snapshot_every = 4'096;
+  engine::HistogramEngine engine(options);
+  Rng rng(41);
+  const ZipfDistribution zipf(2'001, 1.0);
+  std::vector<std::int64_t> live;
+  for (int i = 0; i < 30'000; ++i) {
+    if (!live.empty() && rng.Bernoulli(0.2)) {
+      const auto pick = static_cast<std::size_t>(
+          rng.UniformInt(static_cast<std::uint64_t>(live.size())));
+      engine.Delete("pin", live[pick]);
+      live[pick] = live.back();
+      live.pop_back();
+    } else {
+      const auto v = static_cast<std::int64_t>(zipf.Sample(rng));
+      engine.Insert("pin", v);
+      live.push_back(v);
+    }
+  }
+  return engine.RefreshSnapshot("pin").model();
+}
+
+TEST(MergeCorePinTest, OutputsAreBitIdenticalToPinnedDigests) {
+  // Bit-identity pins of the merge core and of the engine's publish path:
+  // each fleet digest folds Superimpose, MergeAndReduce at 64, 16 and 0
+  // buckets, and ReduceWithSsbm over one seeded fleet; each engine digest
+  // is one kind's final published model. Any change to the sweep, the
+  // reduction or the publish pipeline moves a digest; a refactor must
+  // leave every line unchanged.
+  using engine::ShardHistogramKind;
+  struct Case {
+    const char* name;
+    ShardHistogramKind kind;
+    std::uint64_t fleet_digest;
+    std::uint64_t engine_digest;
+  };
+  const Case cases[] = {
+      {"DC", ShardHistogramKind::kDynamicCompressed, 0x19545165f95538fdull,
+       0x14ade8a70d303ad5ull},
+      {"DVO", ShardHistogramKind::kDynamicVOpt, 0xfc68fd50e12f387cull,
+       0xdb2fbf2d19177f49ull},
+      {"DADO", ShardHistogramKind::kDynamicAdo, 0xb13b9525d8e20a74ull,
+       0xb7a79a6fcd0c8144ull},
+  };
+  for (const Case& c : cases) {
+    const std::vector<HistogramModel> models = KindFleet(c.kind, 61);
+    SnapshotMerger merger;
+    const HistogramModel composite = Superimpose(models);
+    std::uint64_t fleet = testing::ModelDigest(composite);
+    for (const std::int64_t buckets : {64, 16, 0}) {
+      fleet = testing::ModelDigest(merger.MergeAndReduce(models, buckets),
+                                   fleet);
+    }
+    fleet = testing::ModelDigest(ReduceWithSsbm(composite, 32), fleet);
+    const std::uint64_t engine =
+        testing::ModelDigest(EngineFinalModel(c.kind));
+    SCOPED_TRACE(::testing::Message()
+                 << c.name << ": fleet digest 0x" << std::hex << fleet
+                 << ", engine digest 0x" << engine);
+    EXPECT_EQ(fleet, c.fleet_digest);
+    EXPECT_EQ(engine, c.engine_digest);
   }
 }
 
@@ -315,4 +398,4 @@ TEST(SliceSsbmTest, UnitSlicesReproducePerValueSsbmExactly) {
 }
 
 }  // namespace
-}  // namespace dynhist::distributed
+}  // namespace dynhist
