@@ -27,6 +27,7 @@
 #include "src/histogram/merge.h"
 #include "src/histogram/model.h"
 #include "src/telemetry/exposition.h"
+#include "tests/test_util.h"
 
 namespace dynhist::distributed {
 namespace {
@@ -315,6 +316,48 @@ TEST_F(LoopbackTest, MetricsScrapeIsValidPrometheus) {
   EXPECT_NE(text.find("dynhist_agg_merges_total"), std::string::npos);
   EXPECT_NE(text.find("dynhist_agg_frames_received_total{site=\"4\"}"),
             std::string::npos);
+}
+
+// Pins the server's whole scrape (aggregator series plus the global-view
+// engine's) after two sites each ship a frame and its re-send, and one
+// garbage frame arrives. The digest was captured before scrapes were
+// built by collection; any change to a family, HELP, TYPE, label set or
+// value fails it.
+TEST(LoopbackExpositionTest, ServerScrapeIsPinned) {
+  FrameServer server;
+  Aggregator& agg = server.aggregator();
+  FrameHeader header;
+  header.key = "pinned.key";
+  header.epoch = 1;
+  for (const std::uint32_t site : {1u, 2u}) {
+    header.site_id = site;
+    header.watermark = 10 * site;
+    const std::string frame = EncodeFrame(
+        header, HistogramModel::FromSimpleBuckets(
+                    {{0.0, 4.0 * site, 8.0}, {4.0 * site, 9.0 * site, 2.0}}));
+    EXPECT_EQ(agg.Ingest(frame), Aggregator::IngestResult::kApplied);
+    EXPECT_EQ(agg.Ingest(frame), Aggregator::IngestResult::kDuplicate);
+  }
+  EXPECT_EQ(agg.Ingest("not a frame"), Aggregator::IngestResult::kRejected);
+
+  std::string text;
+  server.WriteMetricsPrometheus(&text);
+  std::string error;
+  EXPECT_TRUE(telemetry::SelfCheckPrometheus(text, &error)) << error;
+  const std::string normalized = testing::NormalizedExposition(text);
+  for (const char* line : {
+           "dynhist_agg_frames_applied_total{site=\"2\"} 1\n",
+           "dynhist_agg_frames_duplicate_total{site=\"1\"} 1\n",
+           "dynhist_agg_frames_rejected_total 1\n",
+           "dynhist_agg_merges_total 2\n",
+           "dynhist_agg_site_staleness_seconds{site=\"1\"} *\n",
+           "dynhist_engine_publishes_total 2\n",
+           "dynhist_key_snapshot_epoch{key=\"pinned.key\"} 2\n",
+       }) {
+    EXPECT_NE(normalized.find(line), std::string::npos) << line;
+  }
+  EXPECT_EQ(testing::TextDigest(normalized), 0x8175104b30653c89ull)
+      << normalized;
 }
 
 TEST_F(LoopbackTest, SecondClientSharesTheGlobalView) {

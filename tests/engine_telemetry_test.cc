@@ -18,6 +18,7 @@
 #include "src/engine/engine_options.h"
 #include "src/telemetry/exposition.h"
 #include "src/telemetry/trace_ring.h"
+#include "tests/test_util.h"
 
 namespace dynhist::engine {
 namespace {
@@ -167,6 +168,68 @@ TEST(EngineTelemetryTest, ExpositionExposesPerKeySeriesAndStaleness) {
   const std::string json = stats.ToJson();
   EXPECT_NE(json.find("\"inserts\":10"), std::string::npos);
   EXPECT_NE(json.find("\"snapshot_epoch\":1"), std::string::npos);
+}
+
+// Pins the whole exposition of a deterministic scenario that reaches
+// every engine series: async cadence trips (queued, coalesced, drained,
+// skipped), sync refreshes, an ST-FEEDBACK key with good and rejected
+// feedback, out-of-domain values, string/handle/batch/leased reads,
+// unknown-key reads, and a resolved key that never publishes. The
+// digest was captured before scrapes were built by collection, so a
+// change to any family, HELP, TYPE, label set or value fails it.
+TEST(EngineTelemetryTest, ExpositionIsPinnedForADeterministicScenario) {
+  EngineOptions options = ManualOptions();
+  options.snapshot_every = 16;
+  options.async_publish = true;
+  HistogramEngine engine(options);
+  KeyOptionOverrides feedback_key;
+  feedback_key.backend = ShardHistogramKind::kStFeedback;
+  engine.SetKeyOptions("feedback.col", feedback_key);
+
+  for (int i = 0; i < 20; ++i) engine.Insert("orders.amount", i % 25);
+  EXPECT_EQ(engine.PumpPublishes(), 1u);  // the trip at update 16
+  for (int i = 0; i < 30; ++i) engine.Insert("orders.amount", i % 25);
+  for (int i = 0; i < 10; ++i) engine.Delete("orders.amount", i);
+  engine.InsertBatch("orders.amount", {3, 4, kMaxValue + 1, 5, kMinValue - 1});
+  engine.Insert("orders.amount", kMaxValue + 1);
+  engine.RecordFeedback("feedback.col", 0, 99, 50.0);
+  engine.RecordFeedback("feedback.col", 10, 5, 1.0);  // lo > hi
+  engine.RecordFeedback("feedback.col", 0, 9, -1.0);  // negative actual
+  engine.RefreshSnapshot("orders.amount");
+  EXPECT_EQ(engine.PumpPublishes(), 1u);  // elided: the refresh covered it
+  engine.RefreshSnapshot("feedback.col");
+
+  const KeyHandle handle = engine.Resolve("orders.amount");
+  const KeyHandle never = engine.Resolve("never.published");
+  engine.EstimateRange("orders.amount", 0, 10);
+  engine.EstimateEquals("orders.amount", 3);
+  engine.EstimateRange(handle, 5, 20);
+  engine.EstimateRangeBatch(handle, {{0, 4}, {5, 9}, {10, 24}});
+  engine.LeasedSnapshot(handle);
+  engine.EstimateRange(never, 0, 1);
+  engine.EstimateRange("no.such.key", 0, 1);
+  engine.Snapshot("no.such.key");
+
+  const std::string normalized =
+      testing::NormalizedExposition(Prometheus(engine));
+  for (const char* line : {
+           "dynhist_engine_keys 3\n",
+           "dynhist_engine_publishes_total 3\n",
+           "dynhist_engine_unknown_queries_total 3\n",
+           "dynhist_key_inserts_total{key=\"orders.amount\"} 53\n",
+           "dynhist_key_publish_skipped_total{key=\"orders.amount\"} 1\n",
+           "dynhist_key_publish_coalesced_total{key=\"orders.amount\"} 1\n",
+           "dynhist_key_rejected_ops_total{key=\"orders.amount\","
+           "reason=\"domain\"} 3\n",
+           "dynhist_key_rejected_ops_total{key=\"feedback.col\","
+           "reason=\"feedback\"} 2\n",
+           "dynhist_key_snapshot_epoch{key=\"never.published\"} 0\n",
+           "dynhist_key_staleness_seconds{key=\"never.published\"} *\n",
+       }) {
+    EXPECT_NE(normalized.find(line), std::string::npos) << line;
+  }
+  EXPECT_EQ(testing::TextDigest(normalized), 0x1a32b71a1bdfd4d3ull)
+      << normalized;
 }
 
 TEST(EngineTelemetryTest, IngestDistributionsRecordAtBatchGranularity) {

@@ -3,9 +3,11 @@
 #ifndef DYNHIST_TESTS_TEST_UTIL_H_
 #define DYNHIST_TESTS_TEST_UTIL_H_
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -83,6 +85,51 @@ inline std::uint64_t ModelDigest(const HistogramModel& model,
     mix(b.singular ? 1u : 0u);
   }
   return digest;
+}
+
+/// FNV-1a 64 over the bytes of `text`.
+inline std::uint64_t TextDigest(std::string_view text) {
+  std::uint64_t digest = kModelDigestBasis;
+  for (const char c : text) {
+    digest ^= static_cast<unsigned char>(c);
+    digest *= 1099511628211ull;
+  }
+  return digest;
+}
+
+/// A Prometheus exposition reduced to what a deterministic scenario can
+/// pin: its lines sorted, and in every family whose name holds a timing
+/// (`_nanos`, `_ns`, `staleness_seconds`) each series' value masked as
+/// `*` and its `_bucket` lines dropped. Names, labels, HELP and TYPE
+/// lines survive, so a dropped or renamed series changes the result but
+/// the order of series inside a family does not.
+inline std::string NormalizedExposition(std::string_view text) {
+  std::vector<std::string> lines;
+  std::size_t pos = 0;
+  while (pos < text.size()) {
+    std::size_t eol = text.find('\n', pos);
+    if (eol == std::string_view::npos) eol = text.size();
+    std::string line(text.substr(pos, eol - pos));
+    pos = eol + 1;
+    if (line.empty()) continue;
+    if (line[0] != '#') {
+      const std::string_view name(line.data(), line.find_first_of("{ "));
+      if (name.find("_nanos") != std::string_view::npos ||
+          name.find("_ns") != std::string_view::npos ||
+          name.find("staleness_seconds") != std::string_view::npos) {
+        if (name.ends_with("_bucket")) continue;
+        line.replace(line.rfind(' ') + 1, std::string::npos, "*");
+      }
+    }
+    lines.push_back(std::move(line));
+  }
+  std::sort(lines.begin(), lines.end());
+  std::string normalized;
+  for (const std::string& line : lines) {
+    normalized += line;
+    normalized += '\n';
+  }
+  return normalized;
 }
 
 /// Feeds one update-stream operation to an engine key.
