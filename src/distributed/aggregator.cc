@@ -19,10 +19,6 @@ engine::EngineOptions GlobalViewDefaults() {
   return o;
 }
 
-std::string SiteLabel(std::uint32_t site_id) {
-  return std::to_string(site_id);
-}
-
 }  // namespace
 
 Aggregator::Options::Options() : engine(GlobalViewDefaults()) {}
@@ -30,26 +26,7 @@ Aggregator::Options::Options() : engine(GlobalViewDefaults()) {}
 Aggregator::Aggregator(Options options)
     : options_(std::move(options)),
       start_(std::chrono::steady_clock::now()),
-      engine_(options_.engine) {
-  metrics_.AddCallback(
-      "dynhist_agg_frames_rejected_total",
-      "Frames that failed validation (truncated/corrupt/stale format)",
-      telemetry::MetricKind::kCounter, {},
-      [this] { return static_cast<double>(frames_rejected_.load()); });
-  metrics_.AddCallback(
-      "dynhist_agg_merges_total",
-      "Superimpose+reduce+publish rounds run over the site models",
-      telemetry::MetricKind::kCounter, {},
-      [this] { return static_cast<double>(merges_.load()); });
-  metrics_.AddCallback(
-      "dynhist_agg_sites", "Distinct sites that have shipped frames",
-      telemetry::MetricKind::kGauge, {},
-      [this] { return static_cast<double>(NumSites()); });
-  metrics_.AddCallback(
-      "dynhist_agg_keys", "Distinct keys with at least one site slot",
-      telemetry::MetricKind::kGauge, {},
-      [this] { return static_cast<double>(NumKeys()); });
-}
+      engine_(options_.engine) {}
 
 std::uint64_t Aggregator::NowNs() const {
   return static_cast<std::uint64_t>(
@@ -58,44 +35,14 @@ std::uint64_t Aggregator::NowNs() const {
           .count());
 }
 
-Aggregator::SiteStats& Aggregator::SiteStatsFor(std::uint32_t site_id) {
-  auto it = site_stats_.find(site_id);
-  if (it != site_stats_.end()) return *it->second;
-  auto stats = std::make_unique<SiteStats>();
-  SiteStats* s = stats.get();
-  site_stats_.emplace(site_id, std::move(stats));
-  num_sites_.store(site_stats_.size());
-  // Registering takes the registry mutex while mu_ is held; safe
-  // because Collect()'s callbacks only read atomics — they never take
-  // mu_, so the two locks are only ever acquired in this order.
-  const telemetry::Labels labels = {{"site", SiteLabel(site_id)}};
-  metrics_.AddCallback(
-      "dynhist_agg_frames_received_total", "Frames received from the site",
-      telemetry::MetricKind::kCounter, labels,
-      [s] { return static_cast<double>(s->frames_received.load()); });
-  metrics_.AddCallback(
-      "dynhist_agg_frames_applied_total",
-      "Frames that advanced a (site, key) watermark",
-      telemetry::MetricKind::kCounter, labels,
-      [s] { return static_cast<double>(s->frames_applied.load()); });
-  metrics_.AddCallback(
-      "dynhist_agg_frames_duplicate_total",
-      "Frames dropped because the watermark did not advance",
-      telemetry::MetricKind::kCounter, labels,
-      [s] { return static_cast<double>(s->frames_duplicate.load()); });
-  metrics_.AddCallback(
-      "dynhist_agg_bytes_received_total", "Frame bytes received",
-      telemetry::MetricKind::kCounter, labels,
-      [s] { return static_cast<double>(s->bytes_received.load()); });
-  metrics_.AddCallback(
-      "dynhist_agg_site_staleness_seconds",
-      "Seconds since the site's last frame arrived",
-      telemetry::MetricKind::kGauge, labels, [this, s] {
-        const std::uint64_t last = s->last_frame_ns.load();
-        return last == 0 ? 0.0
-                         : static_cast<double>(NowNs() - last) / 1e9;
-      });
-  return *s;
+std::size_t Aggregator::NumSites() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return site_stats_.size();
+}
+
+std::size_t Aggregator::NumKeys() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return keys_.size();
 }
 
 Aggregator::IngestResult Aggregator::Ingest(std::string_view frame_bytes,
@@ -111,13 +58,12 @@ Aggregator::IngestResult Aggregator::Ingest(std::string_view frame_bytes,
   }
 
   std::lock_guard<std::mutex> lock(mu_);
-  SiteStats& site = SiteStatsFor(decoded.header.site_id);
-  site.frames_received.fetch_add(1);
-  site.bytes_received.fetch_add(frame_bytes.size());
-  site.last_frame_ns.store(NowNs());
+  SiteStats& site = site_stats_[decoded.header.site_id];
+  ++site.frames_received;
+  site.bytes_received += frame_bytes.size();
+  site.last_frame_ns = NowNs();
 
   KeyEntry& entry = keys_[decoded.header.key];
-  num_keys_.store(keys_.size());
   auto [slot_it, inserted] =
       entry.sites.try_emplace(decoded.header.site_id);
   SiteSlot& slot = slot_it->second;
@@ -125,14 +71,14 @@ Aggregator::IngestResult Aggregator::Ingest(std::string_view frame_bytes,
     // Max-watermark idempotence: re-sends and reordered stale frames
     // never reach the merge path.
     frames_duplicate_.fetch_add(1);
-    site.frames_duplicate.fetch_add(1);
+    ++site.frames_duplicate;
     return IngestResult::kDuplicate;
   }
   slot.epoch = decoded.header.epoch;
   slot.watermark = decoded.header.watermark;
   slot.model = decoded.ToModel();
   frames_applied_.fetch_add(1);
-  site.frames_applied.fetch_add(1);
+  ++site.frames_applied;
 
   // Re-merge every site's latest model for this key — k sites through
   // the same sweep + SSBM reduction k shards take — and republish the
@@ -153,7 +99,47 @@ Aggregator::IngestResult Aggregator::Ingest(std::string_view frame_bytes,
 }
 
 void Aggregator::WriteMetricsPrometheus(std::string* out) const {
-  telemetry::WritePrometheus(metrics_.Collect(), out);
+  using telemetry::MetricKind;
+  telemetry::MetricsSnapshot snapshot;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    snapshot.Add("dynhist_agg_frames_rejected_total",
+                 "Frames that failed validation (truncated/corrupt/stale "
+                 "format)",
+                 MetricKind::kCounter, {}, frames_rejected_.load());
+    snapshot.Add("dynhist_agg_merges_total",
+                 "Superimpose+reduce+publish rounds run over the site models",
+                 MetricKind::kCounter, {}, merges_.load());
+    snapshot.Add("dynhist_agg_sites",
+                 "Distinct sites that have shipped frames",
+                 MetricKind::kGauge, {}, site_stats_.size());
+    snapshot.Add("dynhist_agg_keys",
+                 "Distinct keys with at least one site slot",
+                 MetricKind::kGauge, {}, keys_.size());
+    const std::uint64_t now = NowNs();
+    for (const auto& [site_id, site] : site_stats_) {
+      const telemetry::Labels labels = {{"site", std::to_string(site_id)}};
+      snapshot.Add("dynhist_agg_frames_received_total",
+                   "Frames received from the site", MetricKind::kCounter,
+                   labels, site.frames_received);
+      snapshot.Add("dynhist_agg_frames_applied_total",
+                   "Frames that advanced a (site, key) watermark",
+                   MetricKind::kCounter, labels, site.frames_applied);
+      snapshot.Add("dynhist_agg_frames_duplicate_total",
+                   "Frames dropped because the watermark did not advance",
+                   MetricKind::kCounter, labels, site.frames_duplicate);
+      snapshot.Add("dynhist_agg_bytes_received_total",
+                   "Frame bytes received", MetricKind::kCounter, labels,
+                   site.bytes_received);
+      snapshot.Add(
+          "dynhist_agg_site_staleness_seconds",
+          "Seconds since the site's last frame arrived", MetricKind::kGauge,
+          labels,
+          site.last_frame_ns == 0 ? 0.0 : (now - site.last_frame_ns) / 1e9);
+    }
+  }
+  engine_.CollectMetrics(&snapshot);
+  telemetry::WritePrometheus(snapshot, out);
 }
 
 }  // namespace dynhist::distributed

@@ -19,11 +19,9 @@
 // re-sends and reordered stale frames cost zero merges (the bench
 // gates this exactly).
 //
-// Telemetry: per-site frame/byte/staleness instruments plus global
-// merge/reject counters, registered in an owned MetricsRegistry and
-// rendered with the standard exposition writers. The logical counters
-// are plain atomics (the source of truth for gates); the registry
-// reads them through callbacks at scrape time.
+// Telemetry: per-site frame/byte/staleness series plus global
+// merge/reject counters, collected at scrape time next to the global-view
+// engine's series and rendered as one exposition.
 
 #ifndef DYNHIST_DISTRIBUTED_AGGREGATOR_H_
 #define DYNHIST_DISTRIBUTED_AGGREGATOR_H_
@@ -32,7 +30,6 @@
 #include <chrono>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -43,7 +40,6 @@
 #include "src/engine/engine_options.h"
 #include "src/engine/histogram_engine.h"
 #include "src/histogram/merge.h"
-#include "src/telemetry/registry.h"
 
 namespace dynhist::distributed {
 
@@ -80,7 +76,7 @@ class Aggregator {
                       FrameError* frame_error = nullptr);
 
   /// The engine serving the merged global view; query it like any
-  /// engine (Resolve + EstimateRange is the server's per-connection
+  /// engine (Find + EstimateRange is the server's per-connection
   /// pattern).
   engine::HistogramEngine& engine() { return engine_; }
   const engine::HistogramEngine& engine() const { return engine_; }
@@ -96,13 +92,12 @@ class Aggregator {
   std::uint64_t merges() const { return merges_.load(); }
 
   /// Distinct sites / keys seen so far.
-  std::size_t NumSites() const { return num_sites_.load(); }
-  std::size_t NumKeys() const { return num_keys_.load(); }
+  std::size_t NumSites() const;
+  std::size_t NumKeys() const;
 
-  /// Appends the aggregator's Prometheus exposition (per-site frame
-  /// counters, staleness gauges, global merge/reject counters) to
-  /// *out. The global-view engine's own exposition is separate
-  /// (engine().WriteMetricsPrometheus); the server concatenates both.
+  /// Appends one Prometheus exposition to *out: the aggregator's series
+  /// (per-site frame counters and staleness gauges, global merge/reject
+  /// counters) and the global-view engine's, collected in one pass.
   void WriteMetricsPrometheus(std::string* out) const;
 
  private:
@@ -122,32 +117,22 @@ class Aggregator {
     SnapshotMerger merger;
   };
 
-  // Per-site telemetry (atomics read by registry callbacks; pointers
-  // into site_stats_ stay valid because entries are never erased).
+  // Per-site telemetry.
   struct SiteStats {
-    std::atomic<std::uint64_t> frames_received{0};
-    std::atomic<std::uint64_t> frames_applied{0};
-    std::atomic<std::uint64_t> frames_duplicate{0};
-    std::atomic<std::uint64_t> bytes_received{0};
-    std::atomic<std::uint64_t> last_frame_ns{0};  // 0 = never
+    std::uint64_t frames_received = 0;
+    std::uint64_t frames_applied = 0;
+    std::uint64_t frames_duplicate = 0;
+    std::uint64_t bytes_received = 0;
+    std::uint64_t last_frame_ns = 0;  // 0 = never
   };
-
-  // Finds or creates the site's stats, registering its instruments on
-  // first sight. Called under mu_.
-  SiteStats& SiteStatsFor(std::uint32_t site_id);
 
   std::uint64_t NowNs() const;
 
   const Options options_;
 
-  // Registry first: callbacks hold pointers into site_stats_, and
-  // members destroy in reverse order, so the registry (and with it
-  // every callback) dies before the atomics it reads.
-  telemetry::MetricsRegistry metrics_;
-
   mutable std::mutex mu_;
-  std::unordered_map<std::string, KeyEntry> keys_;
-  std::map<std::uint32_t, std::unique_ptr<SiteStats>> site_stats_;
+  std::unordered_map<std::string, KeyEntry> keys_;      // guarded by mu_
+  std::map<std::uint32_t, SiteStats> site_stats_;       // guarded by mu_
 
   std::atomic<std::uint64_t> frames_received_{0};
   std::atomic<std::uint64_t> frames_applied_{0};
@@ -155,12 +140,6 @@ class Aggregator {
   std::atomic<std::uint64_t> frames_rejected_{0};
   std::atomic<std::uint64_t> bytes_received_{0};
   std::atomic<std::uint64_t> merges_{0};
-  // Sizes of site_stats_ / keys_ mirrored into atomics so the scrape
-  // callbacks (which run under the registry mutex) never touch mu_ —
-  // Ingest registers instruments while holding mu_, so a callback that
-  // locked mu_ would order the two mutexes both ways.
-  std::atomic<std::size_t> num_sites_{0};
-  std::atomic<std::size_t> num_keys_{0};
 
   const std::chrono::steady_clock::time_point start_;
 

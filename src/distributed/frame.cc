@@ -4,38 +4,18 @@
 #include <cmath>
 #include <cstring>
 
+#include "src/distributed/net.h"
+
 namespace dynhist::distributed {
 namespace {
 
-// Explicit little-endian primitives: byte shifts, not memcpy of host
-// representation, so frames are host-order-independent.
-void PutU32(std::string* out, std::uint32_t v) {
-  out->push_back(static_cast<char>(v & 0xff));
-  out->push_back(static_cast<char>((v >> 8) & 0xff));
-  out->push_back(static_cast<char>((v >> 16) & 0xff));
-  out->push_back(static_cast<char>((v >> 24) & 0xff));
-}
-
-void PutU64(std::string* out, std::uint64_t v) {
-  PutU32(out, static_cast<std::uint32_t>(v & 0xffffffffu));
-  PutU32(out, static_cast<std::uint32_t>(v >> 32));
-}
+using net::GetU32;
+using net::GetU64;
+using net::PutU32;
+using net::PutU64;
 
 void PutF64(std::string* out, double v) {
   PutU64(out, std::bit_cast<std::uint64_t>(v));
-}
-
-std::uint32_t GetU32(const char* p) {
-  const auto* b = reinterpret_cast<const unsigned char*>(p);
-  return static_cast<std::uint32_t>(b[0]) |
-         (static_cast<std::uint32_t>(b[1]) << 8) |
-         (static_cast<std::uint32_t>(b[2]) << 16) |
-         (static_cast<std::uint32_t>(b[3]) << 24);
-}
-
-std::uint64_t GetU64(const char* p) {
-  return static_cast<std::uint64_t>(GetU32(p)) |
-         (static_cast<std::uint64_t>(GetU32(p + 4)) << 32);
 }
 
 double GetF64(const char* p) { return std::bit_cast<double>(GetU64(p)); }

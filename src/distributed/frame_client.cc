@@ -8,27 +8,6 @@
 #include "src/distributed/wire_protocol.h"
 
 namespace dynhist::distributed {
-namespace {
-
-void PutU32(std::string* out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void PutU64(std::string* out, std::uint64_t v) {
-  PutU32(out, static_cast<std::uint32_t>(v & 0xffffffffu));
-  PutU32(out, static_cast<std::uint32_t>(v >> 32));
-}
-
-std::uint64_t GetU64(const char* p) {
-  const auto* b = reinterpret_cast<const unsigned char*>(p);
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = (v << 8) | b[i];
-  return v;
-}
-
-}  // namespace
 
 FrameClient::~FrameClient() { Close(); }
 
@@ -121,16 +100,16 @@ bool FrameClient::Query(std::string_view key, std::int64_t lo,
   std::string request;
   request.reserve(1 + 4 + key.size() + 16);
   request.push_back(wire::kMsgQuery);
-  PutU32(&request, static_cast<std::uint32_t>(key.size()));
+  net::PutU32(&request, static_cast<std::uint32_t>(key.size()));
   request.append(key);
-  PutU64(&request, static_cast<std::uint64_t>(lo));
-  PutU64(&request, static_cast<std::uint64_t>(hi));
+  net::PutU64(&request, static_cast<std::uint64_t>(lo));
+  net::PutU64(&request, static_cast<std::uint64_t>(hi));
   if (!net::SendMessage(fd_, request)) return false;
   std::string reply;
   if (!net::RecvMessage(fd_, &reply)) return false;
   if (reply.size() != 9 || reply[0] != wire::kReplyEstimate) return false;
   if (estimate != nullptr) {
-    *estimate = std::bit_cast<double>(GetU64(reply.data() + 1));
+    *estimate = std::bit_cast<double>(net::GetU64(reply.data() + 1));
   }
   return true;
 }

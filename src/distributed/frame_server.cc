@@ -16,28 +16,6 @@
 #include "src/distributed/wire_protocol.h"
 
 namespace dynhist::distributed {
-namespace {
-
-std::uint32_t GetU32(const char* p) {
-  const auto* b = reinterpret_cast<const unsigned char*>(p);
-  return static_cast<std::uint32_t>(b[0]) |
-         (static_cast<std::uint32_t>(b[1]) << 8) |
-         (static_cast<std::uint32_t>(b[2]) << 16) |
-         (static_cast<std::uint32_t>(b[3]) << 24);
-}
-
-std::uint64_t GetU64(const char* p) {
-  return static_cast<std::uint64_t>(GetU32(p)) |
-         (static_cast<std::uint64_t>(GetU32(p + 4)) << 32);
-}
-
-void PutU64(std::string* out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-}  // namespace
 
 FrameServer::FrameServer() : FrameServer(Options()) {}
 
@@ -91,7 +69,6 @@ void FrameServer::Stop() {
 
 void FrameServer::WriteMetricsPrometheus(std::string* out) const {
   aggregator_.WriteMetricsPrometheus(out);
-  aggregator_.engine().WriteMetricsPrometheus(out);
 }
 
 void FrameServer::RunLoop() {
@@ -178,7 +155,7 @@ void FrameServer::ProcessBuffered(Connection& conn) {
   while (!conn.close_after_flush) {
     const std::size_t avail = conn.in.size() - conn.in_pos;
     if (avail < 4) break;
-    const std::uint32_t len = GetU32(conn.in.data() + conn.in_pos);
+    const std::uint32_t len = net::GetU32(conn.in.data() + conn.in_pos);
     if (len > net::kMaxMessageBytes) {
       // Framing is unrecoverable; answer with a typed error and drop.
       protocol_errors_.fetch_add(1);
@@ -238,29 +215,33 @@ void FrameServer::HandleMessage(Connection& conn,
         protocol_error("short query");
         return;
       }
-      const std::uint32_t key_len = GetU32(payload.data() + 1);
+      const std::uint32_t key_len = net::GetU32(payload.data() + 1);
       if (payload.size() != 5 + std::size_t{key_len} + 16) {
         protocol_error("malformed query");
         return;
       }
       const std::string_view key = payload.substr(5, key_len);
       const auto lo = static_cast<std::int64_t>(
-          GetU64(payload.data() + 5 + key_len));
+          net::GetU64(payload.data() + 5 + key_len));
       const auto hi = static_cast<std::int64_t>(
-          GetU64(payload.data() + 5 + key_len + 8));
-      // The per-connection handle cache: the first query for a key
-      // resolves it, every later one is registry-free.
+          net::GetU64(payload.data() + 5 + key_len + 8));
+      // The per-connection handle cache: the first query for a key finds
+      // it, every later one is registry-free. A key no site has shipped
+      // is answered 0 through the string path, which counts it in
+      // unknown_queries without creating it: remote queries must not
+      // grow the engine.
+      engine::HistogramEngine& view = aggregator_.engine();
       auto it = conn.handles.find(key);
       if (it == conn.handles.end()) {
-        it = conn.handles
-                 .emplace(std::string(key),
-                          aggregator_.engine().Resolve(key))
-                 .first;
+        if (const engine::KeyHandle handle = view.Find(key); handle.valid()) {
+          it = conn.handles.emplace(std::string(key), handle).first;
+        }
       }
-      const double estimate =
-          aggregator_.engine().EstimateRange(it->second, lo, hi);
+      const double estimate = it != conn.handles.end()
+                                  ? view.EstimateRange(it->second, lo, hi)
+                                  : view.EstimateRange(key, lo, hi);
       std::string reply(1, wire::kReplyEstimate);
-      PutU64(&reply, std::bit_cast<std::uint64_t>(estimate));
+      net::PutU64(&reply, std::bit_cast<std::uint64_t>(estimate));
       net::AppendEnvelope(&conn.out, reply);
       return;
     }

@@ -69,10 +69,8 @@ class FrameServer {
   }
   std::uint64_t protocol_errors() const { return protocol_errors_.load(); }
 
-  /// The full exposition a metrics scrape ('M') returns: the
-  /// aggregator's instruments followed by the global-view engine's
-  /// (disjoint metric families, so the concatenation is valid
-  /// Prometheus text).
+  /// The exposition a metrics scrape ('M') returns: the aggregator's
+  /// series and the global-view engine's, collected in one pass.
   void WriteMetricsPrometheus(std::string* out) const;
 
  private:

@@ -129,11 +129,7 @@ std::ptrdiff_t WriteSome(int fd, const char* data, std::size_t size) {
 }
 
 void AppendEnvelope(std::string* out, std::string_view payload) {
-  const auto len = static_cast<std::uint32_t>(payload.size());
-  out->push_back(static_cast<char>(len & 0xff));
-  out->push_back(static_cast<char>((len >> 8) & 0xff));
-  out->push_back(static_cast<char>((len >> 16) & 0xff));
-  out->push_back(static_cast<char>((len >> 24) & 0xff));
+  PutU32(out, static_cast<std::uint32_t>(payload.size()));
   out->append(payload);
 }
 
@@ -146,12 +142,9 @@ bool SendMessage(int fd, std::string_view payload) {
 }
 
 bool RecvMessage(int fd, std::string* payload, std::size_t max_len) {
-  unsigned char prefix[4];
+  char prefix[4];
   if (!ReadAll(fd, prefix, 4)) return false;
-  const std::uint32_t len = static_cast<std::uint32_t>(prefix[0]) |
-                            (static_cast<std::uint32_t>(prefix[1]) << 8) |
-                            (static_cast<std::uint32_t>(prefix[2]) << 16) |
-                            (static_cast<std::uint32_t>(prefix[3]) << 24);
+  const std::uint32_t len = GetU32(prefix);
   if (len > max_len) return false;
   payload->resize(len);
   return len == 0 || ReadAll(fd, payload->data(), len);

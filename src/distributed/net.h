@@ -17,6 +17,8 @@
 //   SendMessage /        u32-LE length-prefixed envelopes over
 //   RecvMessage          WriteAll/ReadAll — the transport under every
 //                        protocol message (frames, queries, replies).
+//   PutU32 / GetU32 ...  the little-endian integer codec every byte
+//                        format of the tier shares.
 //
 // Everything returns false / -1 with errno left describing the failure;
 // nothing throws and nothing aborts.
@@ -35,6 +37,34 @@ namespace dynhist::net {
 /// hostile length prefix must not translate into an unbounded
 /// allocation.
 inline constexpr std::size_t kMaxMessageBytes = std::size_t{1} << 26;
+
+/// Little-endian fixed-width integers: the byte order of envelope
+/// prefixes, frames (frame.h) and protocol messages (wire_protocol.h).
+/// Byte shifts, not a memcpy of the host representation, so the bytes
+/// do not depend on the host.
+inline void PutU32(std::string* out, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) {
+    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+  }
+}
+
+inline void PutU64(std::string* out, std::uint64_t v) {
+  PutU32(out, static_cast<std::uint32_t>(v & 0xffffffffu));
+  PutU32(out, static_cast<std::uint32_t>(v >> 32));
+}
+
+inline std::uint32_t GetU32(const char* p) {
+  const auto* b = reinterpret_cast<const unsigned char*>(p);
+  return static_cast<std::uint32_t>(b[0]) |
+         (static_cast<std::uint32_t>(b[1]) << 8) |
+         (static_cast<std::uint32_t>(b[2]) << 16) |
+         (static_cast<std::uint32_t>(b[3]) << 24);
+}
+
+inline std::uint64_t GetU64(const char* p) {
+  return static_cast<std::uint64_t>(GetU32(p)) |
+         (static_cast<std::uint64_t>(GetU32(p + 4)) << 32);
+}
 
 /// Sets or clears O_NONBLOCK. Returns false on fcntl failure.
 bool SetNonBlocking(int fd, bool nonblocking = true);

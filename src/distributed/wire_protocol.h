@@ -8,7 +8,9 @@
 //   request 'F' <frame bytes>                        ship one snapshot
 //     reply 'a' <status u8> <frame_error u8>         frame (frame.h)
 //   request 'Q' <key_len u32 LE> <key> <lo i64 LE> <hi i64 LE>
-//     reply 'q' <estimate f64 LE>                    range estimate
+//     reply 'q' <estimate f64 LE>                    range estimate; 0 for
+//                                                    a key no site has
+//                                                    shipped (not created)
 //   request 'M'
 //     reply 'm' <Prometheus text>                    metrics scrape
 //   reply   'e' <diagnostic text>                    protocol error;

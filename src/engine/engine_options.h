@@ -111,8 +111,7 @@ struct EngineOptions {
   /// site — the distributions stay empty and queue-wait counters stay 0,
   /// the overhead bench's baseline mode — while the EngineStats counters
   /// (which predate telemetry and are the publish cadence's bookkeeping)
-  /// are always maintained. Building with -DDYNHIST_TELEMETRY=0
-  /// additionally compiles the recording primitives themselves to no-ops.
+  /// are always maintained.
   bool enable_telemetry = true;
 
   /// Capacity (events, rounded up to a power of two) of the trace ring

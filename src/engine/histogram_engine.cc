@@ -1,9 +1,8 @@
 #include "src/engine/histogram_engine.h"
 
 #include <algorithm>
-#include <cinttypes>
 #include <cmath>
-#include <cstdio>
+#include <string>
 #include <utility>
 
 #include "src/common/check.h"
@@ -40,28 +39,110 @@ void BumpMax(std::atomic<std::uint64_t>& cell, std::uint64_t value) {
   }
 }
 
+// Every per-key counter, listed once: the KeyCounters cell that counts
+// it, the EngineStats field that sums it (ToJson prints it as `name`),
+// its per-key series and its engine-wide series. Stats(), ToJson() and
+// CollectMetrics() loop over this table; the EngineStats fields that are
+// not plain sums of a cell (keys, unknown_queries, max_publish_nanos,
+// snapshot_epoch) are handled beside it.
+using internal::KeyCounters;
+struct CounterRow {
+  std::atomic<std::uint64_t> KeyCounters::*cell;
+  std::uint64_t EngineStats::*field;
+  const char* name;
+  const char* key_series;
+  const char* engine_series;  // nullptr: per-key series only
+  const char* key_help;
+  const char* engine_help = nullptr;  // nullptr: same as key_help
+  const char* reason = nullptr;       // the per-key series' reason label
+};
+
+constexpr const char* kRejectedHelp =
+    "Caller operations dropped as invalid input, by reason";
+constexpr CounterRow kCounters[] = {
+    {&KeyCounters::inserts, &EngineStats::inserts, "inserts",
+     "dynhist_key_inserts_total", "dynhist_engine_inserts_total",
+     "Insert() calls accepted"},
+    {&KeyCounters::deletes, &EngineStats::deletes, "deletes",
+     "dynhist_key_deletes_total", "dynhist_engine_deletes_total",
+     "Delete() calls accepted"},
+    {&KeyCounters::feedbacks, &EngineStats::feedbacks, "feedbacks",
+     "dynhist_key_feedbacks_total", "dynhist_engine_feedbacks_total",
+     "RecordFeedback() observations accepted"},
+    {&KeyCounters::rejected_feedbacks, &EngineStats::rejected_feedbacks,
+     "rejected_feedbacks", "dynhist_key_rejected_ops_total", nullptr,
+     kRejectedHelp, nullptr, "feedback"},
+    {&KeyCounters::rejected_values, &EngineStats::rejected_values,
+     "rejected_values", "dynhist_key_rejected_ops_total", nullptr,
+     kRejectedHelp, nullptr, "domain"},
+    {&KeyCounters::queries, &EngineStats::queries, "queries",
+     "dynhist_key_queries_total", "dynhist_engine_queries_total",
+     "Snapshot/estimate reads served",
+     "Snapshot/estimate reads served (unknown keys included)"},
+    {&KeyCounters::lease_hits, &EngineStats::lease_hits, "lease_hits",
+     "dynhist_key_snapshot_lease_hits_total",
+     "dynhist_snapshot_lease_hits_total",
+     "Handle-path lease revalidations served from the thread-local cache "
+     "(no shared_ptr traffic)",
+     "Lease revalidations served from thread-local caches (no shared_ptr "
+     "traffic)"},
+    {&KeyCounters::lease_misses, &EngineStats::lease_misses, "lease_misses",
+     "dynhist_key_snapshot_lease_misses_total",
+     "dynhist_snapshot_lease_misses_total",
+     "Handle-path lease revalidations that re-acquired the published "
+     "snapshot (version moved, cold slot, or evicted)",
+     "Lease revalidations that re-acquired the published snapshot"},
+    {&KeyCounters::publishes, &EngineStats::publishes, "publishes",
+     "dynhist_key_publishes_total", "dynhist_engine_publishes_total",
+     "Snapshot publications", "Snapshot publications across all keys"},
+    {&KeyCounters::async_publishes, &EngineStats::async_publishes,
+     "async_publishes", "dynhist_key_async_publishes_total",
+     "dynhist_engine_async_publishes_total",
+     "Publications run off the publish queue"},
+    {&KeyCounters::publish_queued, &EngineStats::publish_queued,
+     "publish_queued", "dynhist_key_publish_queued_total",
+     "dynhist_engine_publish_queued_total",
+     "Publish requests accepted onto the queue"},
+    {&KeyCounters::publish_coalesced, &EngineStats::publish_coalesced,
+     "publish_coalesced", "dynhist_key_publish_coalesced_total",
+     "dynhist_engine_publish_coalesced_total",
+     "Cadence trips absorbed by an already-pending request"},
+    {&KeyCounters::publish_rejected, &EngineStats::publish_rejected,
+     "publish_rejected", "dynhist_key_publish_rejected_total",
+     "dynhist_engine_publish_rejected_total",
+     "Publish requests dropped because the queue was full"},
+    {&KeyCounters::publish_skipped, &EngineStats::publish_skipped,
+     "publish_skipped", "dynhist_key_publish_skipped_total",
+     "dynhist_engine_publish_skipped_total",
+     "Drained requests elided because a newer publication covered them"},
+    {&KeyCounters::publish_nanos, &EngineStats::publish_nanos,
+     "publish_nanos", "dynhist_key_publish_nanos_total",
+     "dynhist_engine_publish_nanos_total",
+     "Total nanoseconds spent publishing this key",
+     "Total nanoseconds spent publishing"},
+    {&KeyCounters::queue_wait_nanos, &EngineStats::queue_wait_nanos,
+     "queue_wait_nanos", "dynhist_key_queue_wait_nanos_total",
+     "dynhist_engine_queue_wait_nanos_total",
+     "Total nanoseconds this key's requests sat queued",
+     "Total nanoseconds publish requests sat queued"},
+};
+
 }  // namespace
 
 std::string EngineStats::ToJson() const {
-  char buf[1024];
-  std::snprintf(
-      buf, sizeof buf,
-      "{\"keys\":%" PRIu64 ",\"inserts\":%" PRIu64 ",\"deletes\":%" PRIu64
-      ",\"feedbacks\":%" PRIu64 ",\"rejected_feedbacks\":%" PRIu64
-      ",\"rejected_values\":%" PRIu64 ",\"queries\":%" PRIu64
-      ",\"unknown_queries\":%" PRIu64 ",\"lease_hits\":%" PRIu64
-      ",\"lease_misses\":%" PRIu64 ",\"publishes\":%" PRIu64
-      ",\"async_publishes\":%" PRIu64 ",\"publish_queued\":%" PRIu64
-      ",\"publish_coalesced\":%" PRIu64 ",\"publish_rejected\":%" PRIu64
-      ",\"publish_skipped\":%" PRIu64 ",\"publish_nanos\":%" PRIu64
-      ",\"max_publish_nanos\":%" PRIu64 ",\"queue_wait_nanos\":%" PRIu64
-      ",\"snapshot_epoch\":%" PRIu64 "}",
-      keys, inserts, deletes, feedbacks, rejected_feedbacks, rejected_values,
-      queries, unknown_queries, lease_hits, lease_misses, publishes,
-      async_publishes, publish_queued, publish_coalesced, publish_rejected,
-      publish_skipped, publish_nanos, max_publish_nanos, queue_wait_nanos,
-      snapshot_epoch);
-  return buf;
+  std::string json = "{\"keys\":" + std::to_string(keys);
+  const auto field = [&json](const char* name, std::uint64_t value) {
+    json += ",\"";
+    json += name;
+    json += "\":";
+    json += std::to_string(value);
+  };
+  for (const CounterRow& row : kCounters) field(row.name, this->*row.field);
+  field("unknown_queries", unknown_queries);
+  field("max_publish_nanos", max_publish_nanos);
+  field("snapshot_epoch", snapshot_epoch);
+  json += '}';
+  return json;
 }
 
 internal::KeyState::KeyState(std::string key_name,
@@ -85,27 +166,7 @@ HistogramEngine::HistogramEngine(const EngineOptions& options)
       engine_id_(NextEngineId()),
       trace_(telemetry_on_ && options.trace_capacity > 0
                  ? static_cast<std::size_t>(options.trace_capacity)
-                 : 0),
-      publish_latency_hist_(metrics_.AddHistogram(
-          "dynhist_publish_latency_ns",
-          "Publication duration (flush + merge + snapshot swap) in ns",
-          telemetry::LogBucketer::PowersOfTwo())),
-      queue_wait_hist_(metrics_.AddHistogram(
-          "dynhist_publish_queue_wait_ns",
-          "Time publish requests spent queued (enqueue to drain) in ns",
-          telemetry::LogBucketer::PowersOfTwo())),
-      ingest_batch_hist_(metrics_.AddHistogram(
-          "dynhist_ingest_batch_ops",
-          "Operations per drained shard batch",
-          telemetry::LogBucketer::PerDecade(4))),
-      coalesce_run_hist_(metrics_.AddHistogram(
-          "dynhist_coalesce_run_length",
-          "Duplicate operations collapsed per coalesced group (runs >= 2)",
-          telemetry::LogBucketer::PerDecade(4))),
-      query_latency_hist_(metrics_.AddHistogram(
-          "dynhist_query_latency_ns",
-          "Estimate-read latency in ns, sampled every 1024th query per key",
-          telemetry::LogBucketer::PowersOfTwo())) {
+                 : 0) {
   DH_CHECK(options_.shards >= 1);
   DH_CHECK(options_.batch_size >= 1);
   DH_CHECK(options_.snapshot_every >= 0);
@@ -113,20 +174,6 @@ HistogramEngine::HistogramEngine(const EngineOptions& options)
   DH_CHECK(options_.merge_workers >= 0);
   DH_CHECK(options_.publish_queue_capacity >= 0);
   DH_CHECK(options_.trace_capacity >= 0);
-  metrics_.AddCallback(
-      "dynhist_engine_publish_queue_depth",
-      "Publish requests currently queued", telemetry::MetricKind::kGauge,
-      {}, [this] { return static_cast<double>(PublishQueueDepth()); });
-  metrics_.AddCallback(
-      "dynhist_trace_events_recorded_total",
-      "Events ever recorded into the trace ring",
-      telemetry::MetricKind::kCounter, {},
-      [this] { return static_cast<double>(trace_.recorded()); });
-  metrics_.AddCallback(
-      "dynhist_trace_events_dropped_total",
-      "Trace events overwritten before being read",
-      telemetry::MetricKind::kCounter, {},
-      [this] { return static_cast<double>(trace_.dropped()); });
   if (options_.background_interval_ms > 0) {
     background_ = std::thread([this] { BackgroundLoop(); });
   }
@@ -162,153 +209,17 @@ HistogramEngine::KeyState* HistogramEngine::FindOrCreateKey(
 HistogramEngine::KeyState* HistogramEngine::FindOrCreateKey(
     std::string_view key, std::optional<ShardHistogramKind> backend) {
   if (KeyState* state = FindKey(key)) return state;
-  KeyState* created = nullptr;
-  KeyState* state = nullptr;
-  {
-    std::unique_lock<std::shared_mutex> lock(registry_mu_);
-    auto [it, inserted] = registry_.try_emplace(std::string(key), nullptr);
-    if (inserted) {
-      EngineOptions creation_options = options_;
-      if (backend) creation_options.kind = *backend;
-      it->second = std::make_unique<KeyState>(
-          it->first, creation_options,
-          ShardTelemetry{telemetry_on_ ? ingest_batch_hist_ : nullptr,
-                         telemetry_on_ ? coalesce_run_hist_ : nullptr});
-      created = it->second.get();
-    }
-    state = it->second.get();
+  std::unique_lock<std::shared_mutex> lock(registry_mu_);
+  auto [it, inserted] = registry_.try_emplace(std::string(key), nullptr);
+  if (inserted) {
+    EngineOptions creation_options = options_;
+    if (backend) creation_options.kind = *backend;
+    it->second = std::make_unique<KeyState>(
+        it->first, creation_options,
+        ShardTelemetry{telemetry_on_ ? &ingest_batch_hist_ : nullptr,
+                       telemetry_on_ ? &coalesce_run_hist_ : nullptr});
   }
-  // Metric registration happens after registry_mu_ is released (see
-  // RegisterKeyMetrics): only the inserting thread registers, so the
-  // key's series appear exactly once.
-  if (created != nullptr) RegisterKeyMetrics(*created);
-  return state;
-}
-
-void HistogramEngine::RegisterKeyMetrics(KeyState& state) {
-  const telemetry::Labels labels = {{"key", state.name}};
-  const auto counter = [&](const char* name, const char* help,
-                           const std::atomic<std::uint64_t>& cell) {
-    metrics_.AddCallback(name, help, telemetry::MetricKind::kCounter,
-                         labels, [&cell] {
-                           return static_cast<double>(
-                               cell.load(std::memory_order_acquire));
-                         });
-  };
-  KeyCounters& c = state.counters;
-  counter("dynhist_key_inserts_total", "Insert() calls accepted",
-          c.inserts);
-  counter("dynhist_key_deletes_total", "Delete() calls accepted",
-          c.deletes);
-  counter("dynhist_key_feedbacks_total",
-          "RecordFeedback() observations accepted", c.feedbacks);
-  const auto rejected = [&](const char* reason,
-                            const std::atomic<std::uint64_t>& cell) {
-    metrics_.AddCallback(
-        "dynhist_key_rejected_ops_total",
-        "Caller operations dropped as invalid input, by reason",
-        telemetry::MetricKind::kCounter,
-        {{"key", state.name}, {"reason", reason}}, [&cell] {
-          return static_cast<double>(cell.load(std::memory_order_acquire));
-        });
-  };
-  rejected("feedback", c.rejected_feedbacks);
-  rejected("domain", c.rejected_values);
-  counter("dynhist_key_queries_total", "Snapshot/estimate reads served",
-          c.queries);
-  counter("dynhist_key_snapshot_lease_hits_total",
-          "Handle-path lease revalidations served from the thread-local "
-          "cache (no shared_ptr traffic)",
-          c.lease_hits);
-  counter("dynhist_key_snapshot_lease_misses_total",
-          "Handle-path lease revalidations that re-acquired the published "
-          "snapshot (version moved, cold slot, or evicted)",
-          c.lease_misses);
-  counter("dynhist_key_publishes_total", "Snapshot publications",
-          c.publishes);
-  counter("dynhist_key_async_publishes_total",
-          "Publications run off the publish queue", c.async_publishes);
-  counter("dynhist_key_publish_queued_total",
-          "Publish requests accepted onto the queue", c.publish_queued);
-  counter("dynhist_key_publish_coalesced_total",
-          "Cadence trips absorbed by an already-pending request",
-          c.publish_coalesced);
-  counter("dynhist_key_publish_rejected_total",
-          "Publish requests dropped because the queue was full",
-          c.publish_rejected);
-  counter("dynhist_key_publish_skipped_total",
-          "Drained requests elided because a newer publication covered "
-          "them",
-          c.publish_skipped);
-  counter("dynhist_key_publish_nanos_total",
-          "Total nanoseconds spent publishing this key", c.publish_nanos);
-  counter("dynhist_key_queue_wait_nanos_total",
-          "Total nanoseconds this key's requests sat queued",
-          c.queue_wait_nanos);
-
-  // Feedback convergence observable: the gap between what the published
-  // snapshot estimated and what the predicate actually returned, per
-  // observation. Registered unconditionally so a key's series set is
-  // stable; recorded only when telemetry is on (see RecordFeedback).
-  state.feedback_abs_error_hist.store(
-      metrics_.AddHistogram(
-          "dynhist_key_feedback_abs_error",
-          "Absolute range-estimate error |published estimate - actual| "
-          "observed at feedback time",
-          telemetry::LogBucketer::PerDecade(4), labels),
-      std::memory_order_release);
-
-  KeyState* s = &state;
-  metrics_.AddCallback(
-      "dynhist_key_snapshot_epoch",
-      "Published snapshot epoch (0 = never published)",
-      telemetry::MetricKind::kGauge, labels, [s] {
-        return static_cast<double>(
-            s->epoch.load(std::memory_order_relaxed));
-      });
-  metrics_.AddCallback(
-      "dynhist_key_lease_staleness_versions",
-      "Publications not yet observed by any reader lease (0 while the "
-      "reader fleet is current)",
-      telemetry::MetricKind::kGauge, labels, [s] {
-        const std::uint64_t version =
-            s->version.load(std::memory_order_relaxed);
-        const std::uint64_t leased =
-            s->last_leased_version.load(std::memory_order_relaxed);
-        return version > leased ? static_cast<double>(version - leased)
-                                : 0.0;
-      });
-  metrics_.AddCallback(
-      "dynhist_key_staleness_updates",
-      "Accepted updates not yet covered by the published snapshot",
-      telemetry::MetricKind::kGauge, labels, [s] {
-        const std::uint64_t count =
-            s->update_count.load(std::memory_order_relaxed);
-        const std::uint64_t published =
-            s->published_at.load(std::memory_order_relaxed);
-        return count > published
-                   ? static_cast<double>(count - published)
-                   : 0.0;
-      });
-  metrics_.AddCallback(
-      "dynhist_key_staleness_seconds",
-      "Seconds since the last publication (since engine start when "
-      "never published; 0 without telemetry)",
-      telemetry::MetricKind::kGauge, labels, [this, s] {
-        if (!telemetry_on_) return 0.0;
-        const std::uint64_t now = trace_.NowNs();
-        const std::uint64_t last =
-            s->last_publish_ns.load(std::memory_order_relaxed);
-        return now > last ? static_cast<double>(now - last) / 1e9 : 0.0;
-      });
-  metrics_.AddCallback(
-      "dynhist_key_buffered_ops",
-      "Operations in shard buffers not yet applied to shard histograms",
-      telemetry::MetricKind::kGauge, labels, [s] {
-        std::size_t buffered = 0;
-        for (const auto& shard : s->shards) buffered += shard->BufferedOps();
-        return static_cast<double>(buffered);
-      });
+  return it->second.get();
 }
 
 std::size_t HistogramEngine::ShardIndexFor(const KeyState& state,
@@ -339,7 +250,7 @@ HistogramEngine::KeyState* HistogramEngine::Update(std::string_view key,
 }
 
 void HistogramEngine::Insert(std::string_view key, std::int64_t value) {
-  // Counter increments follow the counted work (here and below): the
+  // Each counter increment follows the counted work (here and below): the
   // release store must carry the operation's writes for the EngineStats
   // acquire-read contract to hold.
   if (KeyState* state = Update(key, UpdateOp::Insert(value))) {
@@ -403,16 +314,13 @@ void HistogramEngine::RecordFeedback(const KeyHandle& handle, std::int64_t lo,
   // would have consulted for this predicate (a never-published key reads
   // as the empty view, estimate 0 — exactly what a caller saw).
   if (telemetry_on_) {
-    if (telemetry::LogHistogram* hist =
-            state.feedback_abs_error_hist.load(std::memory_order_acquire)) {
-      double estimate = 0.0;
-      if (const std::shared_ptr<const VersionedModel> published =
-              state.published.load(std::memory_order_acquire)) {
-        estimate = published->compiled.EstimateRange(lo, hi);
-      }
-      hist->Record(static_cast<std::uint64_t>(
-          std::llround(std::fabs(estimate - actual))));
+    double estimate = 0.0;
+    if (const std::shared_ptr<const VersionedModel> published =
+            state.published.load(std::memory_order_acquire)) {
+      estimate = published->compiled.EstimateRange(lo, hi);
     }
+    state.feedback_abs_error.Record(static_cast<std::uint64_t>(
+        std::llround(std::fabs(estimate - actual))));
   }
 
   // Broadcast to every shard with `actual` scaled by 1/shards: a range
@@ -528,7 +436,7 @@ EngineSnapshot HistogramEngine::PublishExternal(std::string_view key,
   BumpMax(state.counters.max_publish_nanos, nanos);
   if (telemetry_on_) {
     state.last_publish_ns.store(end_ns, std::memory_order_relaxed);
-    publish_latency_hist_->Record(nanos);
+    publish_latency_hist_.Record(nanos);
     if (trace_.enabled()) {
       trace_.Record({telemetry::TraceEventKind::kPublish,
                      state.name.c_str(), "external", epoch, start_ns, nanos,
@@ -582,7 +490,7 @@ double HistogramEngine::EstimateOnState(KeyState& state,
   const bool sample = telemetry_on_ && (qn & 1023u) == 0u;
   const std::uint64_t t0 = sample ? trace_.NowNs() : 0;
   const double result = vm->compiled.EstimateRange(lo, hi);
-  if (sample) query_latency_hist_->Record(trace_.NowNs() - t0);
+  if (sample) query_latency_hist_.Record(trace_.NowNs() - t0);
   return result;
 }
 
@@ -594,6 +502,10 @@ void HistogramEngine::CountLease(KeyState& state, bool hit) const {
 
 KeyHandle HistogramEngine::Resolve(std::string_view key) {
   return KeyHandle(FindOrCreateKey(key));
+}
+
+KeyHandle HistogramEngine::Find(std::string_view key) const {
+  return KeyHandle(FindKey(key));
 }
 
 double HistogramEngine::EstimateRange(const KeyHandle& handle,
@@ -672,32 +584,13 @@ void HistogramEngine::AccumulateStats(const KeyState& state,
                                       EngineStats* stats) {
   // Acquire loads pair with the release increments (see the EngineStats
   // contract): observing a count implies observing the work it counts.
-  const KeyCounters& c = state.counters;
-  stats->inserts += c.inserts.load(std::memory_order_acquire);
-  stats->deletes += c.deletes.load(std::memory_order_acquire);
-  stats->feedbacks += c.feedbacks.load(std::memory_order_acquire);
-  stats->rejected_feedbacks +=
-      c.rejected_feedbacks.load(std::memory_order_acquire);
-  stats->rejected_values += c.rejected_values.load(std::memory_order_acquire);
-  stats->queries += c.queries.load(std::memory_order_acquire);
-  stats->lease_hits += c.lease_hits.load(std::memory_order_acquire);
-  stats->lease_misses += c.lease_misses.load(std::memory_order_acquire);
-  stats->publishes += c.publishes.load(std::memory_order_acquire);
-  stats->async_publishes +=
-      c.async_publishes.load(std::memory_order_acquire);
-  stats->publish_queued += c.publish_queued.load(std::memory_order_acquire);
-  stats->publish_coalesced +=
-      c.publish_coalesced.load(std::memory_order_acquire);
-  stats->publish_rejected +=
-      c.publish_rejected.load(std::memory_order_acquire);
-  stats->publish_skipped +=
-      c.publish_skipped.load(std::memory_order_acquire);
-  stats->publish_nanos += c.publish_nanos.load(std::memory_order_acquire);
-  stats->max_publish_nanos =
-      std::max(stats->max_publish_nanos,
-               c.max_publish_nanos.load(std::memory_order_acquire));
-  stats->queue_wait_nanos +=
-      c.queue_wait_nanos.load(std::memory_order_acquire);
+  for (const CounterRow& row : kCounters) {
+    stats->*row.field +=
+        (state.counters.*row.cell).load(std::memory_order_acquire);
+  }
+  stats->max_publish_nanos = std::max(
+      stats->max_publish_nanos,
+      state.counters.max_publish_nanos.load(std::memory_order_acquire));
   stats->snapshot_epoch += state.epoch.load(std::memory_order_acquire);
 }
 
@@ -731,77 +624,149 @@ EngineStats HistogramEngine::Stats(const KeyHandle& handle) const {
   return stats;
 }
 
-telemetry::MetricsSnapshot HistogramEngine::CollectMetrics() const {
-  telemetry::MetricsSnapshot snapshot = metrics_.Collect();
-  const EngineStats stats = Stats();
-  const auto add = [&snapshot](const char* name, const char* help,
-                               telemetry::MetricKind kind,
-                               std::uint64_t value) {
-    snapshot.samples.push_back(telemetry::MetricSample{
-        name, help, kind, {}, static_cast<double>(value)});
-  };
+void HistogramEngine::CollectMetrics(telemetry::MetricsSnapshot* out) const {
   using telemetry::MetricKind;
-  add("dynhist_engine_keys", "Registered histogram keys",
-      MetricKind::kGauge, stats.keys);
-  add("dynhist_engine_inserts_total", "Insert() calls accepted",
-      MetricKind::kCounter, stats.inserts);
-  add("dynhist_engine_deletes_total", "Delete() calls accepted",
-      MetricKind::kCounter, stats.deletes);
-  add("dynhist_engine_feedbacks_total",
-      "RecordFeedback() observations accepted", MetricKind::kCounter,
-      stats.feedbacks);
-  add("dynhist_engine_queries_total",
-      "Snapshot/estimate reads served (unknown keys included)",
-      MetricKind::kCounter, stats.queries);
-  add("dynhist_engine_unknown_queries_total",
-      "Estimate reads answered without a snapshot (unknown key, or known "
-      "key never published)",
-      MetricKind::kCounter, stats.unknown_queries);
-  add("dynhist_snapshot_lease_hits_total",
-      "Lease revalidations served from thread-local caches (no "
-      "shared_ptr traffic)",
-      MetricKind::kCounter, stats.lease_hits);
-  add("dynhist_snapshot_lease_misses_total",
-      "Lease revalidations that re-acquired the published snapshot",
-      MetricKind::kCounter, stats.lease_misses);
-  add("dynhist_engine_publishes_total",
-      "Snapshot publications across all keys", MetricKind::kCounter,
-      stats.publishes);
-  add("dynhist_engine_async_publishes_total",
-      "Publications run off the publish queue", MetricKind::kCounter,
-      stats.async_publishes);
-  add("dynhist_engine_publish_queued_total",
-      "Publish requests accepted onto the queue", MetricKind::kCounter,
-      stats.publish_queued);
-  add("dynhist_engine_publish_coalesced_total",
-      "Cadence trips absorbed by an already-pending request",
-      MetricKind::kCounter, stats.publish_coalesced);
-  add("dynhist_engine_publish_rejected_total",
-      "Publish requests dropped because the queue was full",
-      MetricKind::kCounter, stats.publish_rejected);
-  add("dynhist_engine_publish_skipped_total",
-      "Drained requests elided because a newer publication covered them",
-      MetricKind::kCounter, stats.publish_skipped);
-  add("dynhist_engine_publish_nanos_total",
-      "Total nanoseconds spent publishing", MetricKind::kCounter,
-      stats.publish_nanos);
-  add("dynhist_engine_max_publish_nanos", "Slowest single publication, ns",
-      MetricKind::kGauge, stats.max_publish_nanos);
-  add("dynhist_engine_queue_wait_nanos_total",
-      "Total nanoseconds publish requests sat queued",
-      MetricKind::kCounter, stats.queue_wait_nanos);
-  add("dynhist_engine_snapshot_epochs",
-      "Sum of per-key published epochs (equals publishes at sync points)",
-      MetricKind::kGauge, stats.snapshot_epoch);
-  return snapshot;
+  const auto add_histogram = [out](const char* name, const char* help,
+                                   telemetry::Labels labels,
+                                   const telemetry::LogHistogram& h) {
+    out->histograms.push_back(telemetry::HistogramSample{
+        name, help, std::move(labels), h.Snapshot()});
+  };
+
+  // KeyStates are never erased, so the pointers outlive the shared lock.
+  std::vector<const KeyState*> states;
+  {
+    std::shared_lock<std::shared_mutex> lock(registry_mu_);
+    states.reserve(registry_.size());
+    for (const auto& [name, state] : registry_) states.push_back(state.get());
+  }
+  std::sort(states.begin(), states.end(),
+            [](const KeyState* a, const KeyState* b) {
+              return a->name < b->name;
+            });
+
+  // Per key: one series per counter row plus five gauges.
+  out->samples.reserve(out->samples.size() +
+                       states.size() * (std::size(kCounters) + 5) +
+                       std::size(kCounters) + 7);
+  EngineStats total;
+  total.keys = states.size();
+  const std::uint64_t now = trace_.NowNs();
+  for (const KeyState* state : states) {
+    EngineStats key;
+    AccumulateStats(*state, &key);
+    const telemetry::Labels labels = {{"key", state->name}};
+    for (const CounterRow& row : kCounters) {
+      total.*row.field += key.*row.field;
+      telemetry::Labels series_labels = labels;
+      if (row.reason != nullptr) {
+        series_labels.emplace_back("reason", row.reason);
+      }
+      out->Add(row.key_series, row.key_help, MetricKind::kCounter,
+               std::move(series_labels), key.*row.field);
+    }
+    total.max_publish_nanos =
+        std::max(total.max_publish_nanos, key.max_publish_nanos);
+    total.snapshot_epoch += key.snapshot_epoch;
+
+    out->Add("dynhist_key_snapshot_epoch",
+             "Published snapshot epoch (0 = never published)",
+             MetricKind::kGauge, labels, key.snapshot_epoch);
+    const std::uint64_t version =
+        state->version.load(std::memory_order_relaxed);
+    const std::uint64_t leased =
+        state->last_leased_version.load(std::memory_order_relaxed);
+    out->Add("dynhist_key_lease_staleness_versions",
+             "Publications not yet observed by any reader lease (0 while "
+             "the reader fleet is current)",
+             MetricKind::kGauge, labels,
+             version > leased ? version - leased : 0);
+    const std::uint64_t count =
+        state->update_count.load(std::memory_order_relaxed);
+    const std::uint64_t published =
+        state->published_at.load(std::memory_order_relaxed);
+    out->Add("dynhist_key_staleness_updates",
+             "Accepted updates not yet covered by the published snapshot",
+             MetricKind::kGauge, labels,
+             count > published ? count - published : 0);
+    const std::uint64_t last =
+        state->last_publish_ns.load(std::memory_order_relaxed);
+    out->Add("dynhist_key_staleness_seconds",
+             "Seconds since the last publication (since engine start when "
+             "never published; 0 without telemetry)",
+             MetricKind::kGauge, labels,
+             telemetry_on_ && now > last ? (now - last) / 1e9 : 0.0);
+    std::size_t buffered = 0;
+    for (const auto& shard : state->shards) buffered += shard->BufferedOps();
+    out->Add("dynhist_key_buffered_ops",
+             "Operations in shard buffers not yet applied to shard "
+             "histograms",
+             MetricKind::kGauge, labels, buffered);
+    add_histogram("dynhist_key_feedback_abs_error",
+                  "Absolute range-estimate error |published estimate - "
+                  "actual| observed at feedback time",
+                  labels, state->feedback_abs_error);
+  }
+  total.unknown_queries = unknown_queries_.load(std::memory_order_acquire);
+  total.queries += total.unknown_queries;
+
+  for (const CounterRow& row : kCounters) {
+    if (row.engine_series == nullptr) continue;
+    out->Add(row.engine_series,
+             row.engine_help != nullptr ? row.engine_help : row.key_help,
+             MetricKind::kCounter, {}, total.*row.field);
+  }
+  out->Add("dynhist_engine_keys", "Registered histogram keys",
+           MetricKind::kGauge, {}, total.keys);
+  out->Add("dynhist_engine_unknown_queries_total",
+           "Estimate reads answered without a snapshot (unknown key, or "
+           "known key never published)",
+           MetricKind::kCounter, {}, total.unknown_queries);
+  out->Add("dynhist_engine_max_publish_nanos",
+           "Slowest single publication, ns", MetricKind::kGauge, {},
+           total.max_publish_nanos);
+  out->Add("dynhist_engine_snapshot_epochs",
+           "Sum of per-key published epochs (equals publishes at sync "
+           "points)",
+           MetricKind::kGauge, {}, total.snapshot_epoch);
+  out->Add("dynhist_engine_publish_queue_depth",
+           "Publish requests currently queued", MetricKind::kGauge, {},
+           PublishQueueDepth());
+  out->Add("dynhist_trace_events_recorded_total",
+           "Events ever recorded into the trace ring", MetricKind::kCounter,
+           {}, trace_.recorded());
+  out->Add("dynhist_trace_events_dropped_total",
+           "Trace events overwritten before being read",
+           MetricKind::kCounter, {}, trace_.dropped());
+
+  add_histogram("dynhist_publish_latency_ns",
+                "Publication duration (flush + merge + snapshot swap) in ns",
+                {}, publish_latency_hist_);
+  add_histogram("dynhist_publish_queue_wait_ns",
+                "Time publish requests spent queued (enqueue to drain) in ns",
+                {}, queue_wait_hist_);
+  add_histogram("dynhist_ingest_batch_ops",
+                "Operations per drained shard batch", {}, ingest_batch_hist_);
+  add_histogram(
+      "dynhist_coalesce_run_length",
+      "Duplicate operations collapsed per coalesced group (runs >= 2)", {},
+      coalesce_run_hist_);
+  add_histogram(
+      "dynhist_query_latency_ns",
+      "Estimate-read latency in ns, sampled every 1024th query per key", {},
+      query_latency_hist_);
 }
 
 void HistogramEngine::WriteMetricsPrometheus(std::string* out) const {
-  telemetry::WritePrometheus(CollectMetrics(), out);
+  telemetry::MetricsSnapshot snapshot;
+  CollectMetrics(&snapshot);
+  telemetry::WritePrometheus(snapshot, out);
 }
 
 void HistogramEngine::WriteMetricsJson(std::string* out) const {
-  telemetry::WriteJson(CollectMetrics(), out);
+  telemetry::MetricsSnapshot snapshot;
+  CollectMetrics(&snapshot);
+  telemetry::WriteJson(snapshot, out);
 }
 
 void HistogramEngine::WriteTraceJson(std::string* out) const {
@@ -922,7 +887,7 @@ bool HistogramEngine::RunOneQueuedPublish() {
         state->enqueued_at_ns.load(std::memory_order_relaxed);
     const std::uint64_t now = trace_.NowNs();
     const std::uint64_t wait = now > enqueued ? now - enqueued : 0;
-    queue_wait_hist_->Record(wait);
+    queue_wait_hist_.Record(wait);
     state->counters.queue_wait_nanos.fetch_add(wait,
                                                std::memory_order_release);
   }
@@ -1118,7 +1083,7 @@ EngineSnapshot HistogramEngine::Publish(
   BumpMax(state.counters.max_publish_nanos, nanos);
   if (telemetry_on_) {
     state.last_publish_ns.store(end_ns, std::memory_order_relaxed);
-    publish_latency_hist_->Record(nanos);
+    publish_latency_hist_.Record(nanos);
     if (trace_.enabled()) {
       const char* key = state.name.c_str();
       trace_.Record({telemetry::TraceEventKind::kFlush, key, trigger,

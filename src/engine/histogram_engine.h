@@ -72,7 +72,6 @@
 #include "src/engine/snapshot.h"
 #include "src/telemetry/exposition.h"
 #include "src/telemetry/log_histogram.h"
-#include "src/telemetry/registry.h"
 #include "src/telemetry/trace_ring.h"
 
 namespace dynhist::engine {
@@ -312,6 +311,11 @@ class HistogramEngine {
   /// the distributed tier, a server connection) holds per key.
   KeyHandle Resolve(std::string_view key);
 
+  /// Resolves `key` without creating it: an unknown key yields an invalid
+  /// handle. For callers that must not let a lookup grow the registry,
+  /// such as a server answering remote queries.
+  KeyHandle Find(std::string_view key) const;
+
   /// Estimates through a resolved handle: one relaxed version load
   /// revalidates this thread's snapshot lease, then the arena lookup —
   /// no registry lock and, on the steady-state hit path, no shared_ptr
@@ -354,10 +358,16 @@ class HistogramEngine {
   EngineStats Stats(std::string_view key) const;
   EngineStats Stats(const KeyHandle& handle) const;
 
-  /// Metrics exposition: everything the engine knows about itself —
-  /// global and per-key counters, staleness/queue-depth gauges, and the
-  /// latency/size distributions — rendered as Prometheus text or JSON
-  /// (see src/telemetry/exposition.h). Thread-safe; scrape-cost only.
+  /// Appends everything the engine knows about itself to `*out`: global
+  /// and per-key counters, staleness/queue-depth gauges, and the
+  /// latency/size distributions. Per-key series come in key-name order.
+  /// Each counter is loaded once and feeds both its per-key series and
+  /// the engine-wide sum, so within one scrape the per-key series add up
+  /// to the totals. Thread-safe; scrape-cost only.
+  void CollectMetrics(telemetry::MetricsSnapshot* out) const;
+
+  /// CollectMetrics rendered as Prometheus text or JSON (see
+  /// src/telemetry/exposition.h).
   void WriteMetricsPrometheus(std::string* out) const;
   void WriteMetricsJson(std::string* out) const;
 
@@ -372,11 +382,10 @@ class HistogramEngine {
   const EngineOptions& options() const { return options_; }
 
  private:
-  // Per-key state and counters are hoisted to key_state.h (namespace
-  // internal) so KeyHandle and the thread-local snapshot lease cache can
-  // name them; the alias keeps this class's vocabulary unchanged.
+  // Per-key state is hoisted to key_state.h (namespace internal) so
+  // KeyHandle and the thread-local snapshot lease cache can name it; the
+  // alias keeps this class's vocabulary unchanged.
   using KeyState = internal::KeyState;
-  using KeyCounters = internal::KeyCounters;
 
   // Finds the key's state, creating it on the update path. Never returns
   // nullptr when create is true. `backend` overrides the shard histogram
@@ -387,20 +396,9 @@ class HistogramEngine {
   KeyState* FindOrCreateKey(std::string_view key,
                             std::optional<ShardHistogramKind> backend);
 
-  // Registers the key's per-key counter/gauge callbacks with the metrics
-  // registry. Called by the creating thread AFTER registry_mu_ is
-  // released: Collect() runs callbacks under the telemetry mutex, and
-  // holding registry_mu_ across registration would order the two locks
-  // both ways.
-  void RegisterKeyMetrics(KeyState& state);
-
   // Adds `state`'s counters into `*stats` (acquire loads; max fields
   // combine by max, snapshot_epoch by sum).
   static void AccumulateStats(const KeyState& state, EngineStats* stats);
-
-  // Collects registry instruments plus the global-aggregate samples into
-  // one snapshot for the exposition writers.
-  telemetry::MetricsSnapshot CollectMetrics() const;
 
   // Shard routing for `value` — the single definition of the hash-to-shard
   // policy; Insert/Delete and InsertBatch must agree or the per-shard
@@ -483,13 +481,18 @@ class HistogramEngine {
   // Telemetry instruments. Declared before the key registry so key
   // states (whose shards hold histogram pointers) never outlive them;
   // the ring also provides the engine's monotonic ns clock (NowNs).
-  telemetry::MetricsRegistry metrics_;
   telemetry::TraceRing trace_;
-  telemetry::LogHistogram* publish_latency_hist_;   // ns per publish
-  telemetry::LogHistogram* queue_wait_hist_;        // ns enqueue -> drain
-  telemetry::LogHistogram* ingest_batch_hist_;      // ops per shard drain
-  telemetry::LogHistogram* coalesce_run_hist_;      // dupes per coalesced run
-  telemetry::LogHistogram* query_latency_hist_;     // ns per sampled estimate
+  telemetry::LogHistogram publish_latency_hist_{  // ns per publish
+      telemetry::LogBucketer::PowersOfTwo()};
+  telemetry::LogHistogram queue_wait_hist_{  // ns enqueue -> drain
+      telemetry::LogBucketer::PowersOfTwo()};
+  telemetry::LogHistogram ingest_batch_hist_{  // ops per shard drain
+      telemetry::LogBucketer::PerDecade(4)};
+  telemetry::LogHistogram coalesce_run_hist_{  // dupes per coalesced run
+      telemetry::LogBucketer::PerDecade(4)};
+  // ns per sampled estimate; mutable because the const read path records.
+  mutable telemetry::LogHistogram query_latency_hist_{
+      telemetry::LogBucketer::PowersOfTwo()};
 
   // Heterogeneous (string_view) lookup keeps the per-query FindKey free
   // of temporary std::string construction — the read path's only

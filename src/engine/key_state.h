@@ -24,11 +24,14 @@
 #include "src/engine/shard.h"
 #include "src/engine/snapshot.h"
 #include "src/histogram/merge.h"
+#include "src/telemetry/log_histogram.h"
 
 namespace dynhist::engine::internal {
 
 /// One key's share of the EngineStats counters (see the EngineStats
-/// ordering contract in histogram_engine.h; these are what Stats() sums).
+/// ordering contract in histogram_engine.h). Every cell but
+/// max_publish_nanos is one row of histogram_engine.cc's counter table,
+/// which Stats(), ToJson() and the metrics scrape all read.
 struct KeyCounters {
   std::atomic<std::uint64_t> inserts{0};
   std::atomic<std::uint64_t> deletes{0};
@@ -67,9 +70,9 @@ struct KeyState {
   /// Per-key |published estimate − actual| distribution, recorded at
   /// RecordFeedback time (the convergence observable: how wrong the
   /// optimizer-visible snapshot was about each observed predicate).
-  /// Registered by RegisterKeyMetrics after creation; null until then
-  /// and when telemetry is off.
-  std::atomic<telemetry::LogHistogram*> feedback_abs_error_hist{nullptr};
+  /// Empty when telemetry is off.
+  telemetry::LogHistogram feedback_abs_error{
+      telemetry::LogBucketer::PerDecade(4)};
 
   KeyCounters counters;
 

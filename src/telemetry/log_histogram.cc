@@ -84,19 +84,16 @@ LogHistogram::LogHistogram(LogBucketer bucketer)
   }
 }
 
-#if DYNHIST_TELEMETRY
 void LogHistogram::Record(std::uint64_t value, std::uint64_t n) {
   if (n == 0) return;
   counts_[bucketer_.BucketFor(value)].fetch_add(n,
                                                 std::memory_order_relaxed);
-  count_.fetch_add(n, std::memory_order_relaxed);
   sum_.fetch_add(value * n, std::memory_order_relaxed);
   std::uint64_t prev = max_.load(std::memory_order_relaxed);
   while (prev < value && !max_.compare_exchange_weak(
                              prev, value, std::memory_order_relaxed)) {
   }
 }
-#endif
 
 void LogHistogram::Merge(const LogHistogram& other) {
   Merge(other.Snapshot());
@@ -109,7 +106,6 @@ void LogHistogram::Merge(const LogHistogramSnapshot& other) {
       counts_[i].fetch_add(other.counts[i], std::memory_order_relaxed);
     }
   }
-  count_.fetch_add(other.count, std::memory_order_relaxed);
   sum_.fetch_add(other.sum, std::memory_order_relaxed);
   std::uint64_t prev = max_.load(std::memory_order_relaxed);
   while (prev < other.max && !max_.compare_exchange_weak(
@@ -124,8 +120,8 @@ LogHistogramSnapshot LogHistogram::Snapshot() const {
   snapshot.counts.resize(bucketer_.bucket_count());
   for (std::size_t i = 0; i < snapshot.counts.size(); ++i) {
     snapshot.counts[i] = counts_[i].load(std::memory_order_relaxed);
+    snapshot.count += snapshot.counts[i];
   }
-  snapshot.count = count_.load(std::memory_order_relaxed);
   snapshot.sum = sum_.load(std::memory_order_relaxed);
   snapshot.max = max_.load(std::memory_order_relaxed);
   return snapshot;

@@ -16,24 +16,15 @@
 //     collides; ~2.4x resolution steps for k = 4.
 //
 // LogHistogram is thread-safe and wait-free on the record path: bucket
-// counts, the running count/sum, and the max are relaxed atomics. Cross-
-// counter consistency is only guaranteed at external sync points, the
-// same contract EngineStats documents. Snapshot() materializes a plain
-// struct for exposition, percentile math, and tests.
-//
-// Compile-time kill switch: building with -DDYNHIST_TELEMETRY=0 turns
-// Record() into an empty inline, so instrumentation sites compile to
-// nothing. The engine additionally offers a runtime switch
-// (EngineOptions::enable_telemetry) that skips the recording call sites;
-// the overhead bench compares against that mode, which exercises the
-// same no-op paths the macro removes.
+// counts, the running sum, and the max are relaxed atomics. Snapshot()
+// materializes a plain struct for exposition, percentile math, and
+// tests; its total count is the sum of the bucket counts it read, so a
+// snapshot taken during concurrent Record()s is still a valid cumulative
+// histogram. Its sum and max agree with the buckets only at external
+// sync points, the same contract EngineStats documents.
 
 #ifndef DYNHIST_TELEMETRY_LOG_HISTOGRAM_H_
 #define DYNHIST_TELEMETRY_LOG_HISTOGRAM_H_
-
-#ifndef DYNHIST_TELEMETRY
-#define DYNHIST_TELEMETRY 1
-#endif
 
 #include <atomic>
 #include <bit>
@@ -90,7 +81,8 @@ class LogBucketer {
 struct LogHistogramSnapshot {
   LogBucketer bucketer = LogBucketer::PowersOfTwo();
   std::vector<std::uint64_t> counts;  ///< one per bucketer bucket
-  std::uint64_t count = 0;            ///< total recorded values
+  std::uint64_t count = 0;            ///< total recorded values: the sum
+                                      ///< of `counts`
   std::uint64_t sum = 0;              ///< sum of recorded values
   std::uint64_t max = 0;              ///< largest recorded value
 
@@ -110,11 +102,7 @@ class LogHistogram {
   LogHistogram& operator=(const LogHistogram&) = delete;
 
   /// Adds `value` (optionally with multiplicity `n`) to its bucket.
-#if DYNHIST_TELEMETRY
   void Record(std::uint64_t value, std::uint64_t n = 1);
-#else
-  void Record(std::uint64_t, std::uint64_t = 1) {}
-#endif
 
   /// Adds every count of `other` into this histogram. The bucketers must
   /// be identical (checked). The cross-thread aggregation primitive.
@@ -127,7 +115,6 @@ class LogHistogram {
  private:
   const LogBucketer bucketer_;
   std::unique_ptr<std::atomic<std::uint64_t>[]> counts_;
-  std::atomic<std::uint64_t> count_{0};
   std::atomic<std::uint64_t> sum_{0};
   std::atomic<std::uint64_t> max_{0};
 };

@@ -293,6 +293,39 @@ TEST_F(LoopbackTest, PipelinedBatchShipCountsOutcomes) {
   EXPECT_EQ(rejected, 0u);
 }
 
+TEST_F(LoopbackTest, QueriesForUnshippedKeysCreateNothing) {
+  // A remote query must not grow the aggregator: a key no site has
+  // shipped answers 0, counts as an unknown query, and is not created.
+  constexpr int kQueries = 100;
+  for (int q = 0; q < kQueries; ++q) {
+    double estimate = -1.0;
+    ASSERT_TRUE(client_.Query("unshipped." + std::to_string(q), 0, 10,
+                              &estimate));
+    EXPECT_EQ(estimate, 0.0);
+  }
+  const engine::HistogramEngine& engine = server_.aggregator().engine();
+  EXPECT_EQ(engine.Stats().keys, 0u);
+  EXPECT_EQ(engine.Stats().unknown_queries,
+            static_cast<std::uint64_t>(kQueries));
+
+  // Once a site ships one of those keys, the same connection's next
+  // query answers from the published view.
+  FrameHeader header;
+  header.site_id = 1;
+  header.key = "unshipped.7";
+  header.epoch = 1;
+  header.watermark = 1;
+  const HistogramModel model =
+      HistogramModel::FromSimpleBuckets({{0.0, 8.0, 64.0}});
+  Aggregator::IngestResult result = Aggregator::IngestResult::kRejected;
+  ASSERT_TRUE(client_.ShipFrame(EncodeFrame(header, model), &result));
+  ASSERT_EQ(result, Aggregator::IngestResult::kApplied);
+  double estimate = 0.0;
+  ASSERT_TRUE(client_.Query("unshipped.7", 0, 7, &estimate));
+  EXPECT_EQ(estimate, CompiledSnapshot::Compile(model).EstimateRange(0, 7));
+  EXPECT_EQ(engine.Stats().keys, 1u);
+}
+
 TEST_F(LoopbackTest, MetricsScrapeIsValidPrometheus) {
   // Ship something so per-site instruments exist, then scrape.
   FrameHeader header;
@@ -320,9 +353,9 @@ TEST_F(LoopbackTest, MetricsScrapeIsValidPrometheus) {
 
 // Pins the server's whole scrape (aggregator series plus the global-view
 // engine's) after two sites each ship a frame and its re-send, and one
-// garbage frame arrives. The digest was captured before scrapes were
-// built by collection; any change to a family, HELP, TYPE, label set or
-// value fails it.
+// garbage frame arrives. The digest covers every family, HELP, TYPE,
+// label set and value; change it only with a deliberate change to the
+// exposition.
 TEST(LoopbackExpositionTest, ServerScrapeIsPinned) {
   FrameServer server;
   Aggregator& agg = server.aggregator();

@@ -176,14 +176,12 @@ TEST(NetTest, WriteAllSurvivesSignalStorm) {
   const std::string payload = PatternPayload(kSize);
 
   std::atomic<bool> writer_done{false};
-  pthread_t writer_thread{};
   std::atomic<bool> writer_ok{false};
   std::thread writer([&] {
-    writer_thread = ::pthread_self();
     writer_ok.store(WriteAll(sp.a, payload));
     writer_done.store(true);
   });
-  while (writer_thread == pthread_t{}) usleep(100);
+  const pthread_t writer_thread = writer.native_handle();
 
   std::string got;
   char chunk[1024];

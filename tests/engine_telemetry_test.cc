@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <thread>
@@ -46,6 +47,20 @@ double MetricValue(const std::string& text, const std::string& name) {
     pos += prefix.size();
   }
   return -1.0;
+}
+
+// The sum of every labeled series of `family` in the exposition.
+double SumSeries(const std::string& text, const std::string& family) {
+  const std::string prefix = family + "{";
+  double sum = 0.0;
+  std::size_t pos = 0;
+  while ((pos = text.find(prefix, pos)) != std::string::npos) {
+    if (pos == 0 || text[pos - 1] == '\n') {
+      sum += std::stod(text.substr(text.find(' ', pos) + 1));
+    }
+    pos += prefix.size();
+  }
+  return sum;
 }
 
 std::string Prometheus(const HistogramEngine& engine) {
@@ -115,6 +130,42 @@ TEST(EngineTelemetryTest, PerKeyStatsSumToGlobalUnderConcurrency) {
   EXPECT_GT(global.publishes, 0u);
 }
 
+TEST(EngineTelemetryTest, ScrapeTotalsEqualPerKeySumsUnderConcurrency) {
+  // Within one scrape the per-key series add up to the engine-wide
+  // totals while writers and a merge worker run: the scrape loads each
+  // counter once and feeds both from that load.
+  EngineOptions options;
+  options.shards = 2;
+  options.batch_size = 8;
+  options.snapshot_every = 64;
+  options.async_publish = true;
+  options.merge_workers = 1;
+  HistogramEngine engine(options);
+
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> writers;
+  for (int w = 0; w < 2; ++w) {
+    writers.emplace_back([&engine, &stop, w] {
+      Rng rng(static_cast<std::uint64_t>(w) + 1);
+      const char* keys[] = {"a", "b", "c"};
+      for (int i = 0; !stop.load(std::memory_order_relaxed); ++i) {
+        engine.Insert(keys[i % 3],
+                      static_cast<std::int64_t>(rng.UniformInt(0, 999)));
+      }
+    });
+  }
+  while (engine.Stats().publishes == 0) std::this_thread::yield();
+  for (int scrape = 0; scrape < 200; ++scrape) {
+    const std::string text = Prometheus(engine);
+    EXPECT_EQ(SumSeries(text, "dynhist_key_inserts_total"),
+              MetricValue(text, "dynhist_engine_inserts_total"));
+    EXPECT_EQ(SumSeries(text, "dynhist_key_publishes_total"),
+              MetricValue(text, "dynhist_engine_publishes_total"));
+  }
+  stop.store(true, std::memory_order_relaxed);
+  for (std::thread& w : writers) w.join();
+}
+
 TEST(EngineTelemetryTest, QueueWaitIsAccountedOnDrain) {
   EngineOptions options = ManualOptions();
   options.snapshot_every = 16;
@@ -175,8 +226,8 @@ TEST(EngineTelemetryTest, ExpositionExposesPerKeySeriesAndStaleness) {
 // skipped), sync refreshes, an ST-FEEDBACK key with good and rejected
 // feedback, out-of-domain values, string/handle/batch/leased reads,
 // unknown-key reads, and a resolved key that never publishes. The
-// digest was captured before scrapes were built by collection, so a
-// change to any family, HELP, TYPE, label set or value fails it.
+// digest covers every family, HELP, TYPE, label set and value; change it
+// only with a deliberate change to the exposition.
 TEST(EngineTelemetryTest, ExpositionIsPinnedForADeterministicScenario) {
   EngineOptions options = ManualOptions();
   options.snapshot_every = 16;

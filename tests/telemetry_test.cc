@@ -1,9 +1,9 @@
 // Unit tests of the telemetry subsystem in isolation: log-bucket
-// boundary math (both schemes), histogram record/merge/percentiles, the
-// metrics registry, trace-ring wraparound and overflow accounting, and
-// the Prometheus exposition writer plus its self-check (including
-// negative cases — the self-check must actually reject broken output,
-// or the check.sh gate it backs is vacuous).
+// boundary math (both schemes), histogram record/merge/percentiles,
+// trace-ring wraparound and overflow accounting, and the Prometheus
+// exposition writer plus its self-check (including negative cases — the
+// self-check must actually reject broken output, or the check.sh gate it
+// backs is vacuous).
 
 #include <cstdint>
 #include <string>
@@ -13,7 +13,6 @@
 
 #include "src/telemetry/exposition.h"
 #include "src/telemetry/log_histogram.h"
-#include "src/telemetry/registry.h"
 #include "src/telemetry/trace_ring.h"
 
 namespace dynhist::telemetry {
@@ -108,31 +107,6 @@ TEST(LogHistogramTest, MergeAddsCountsAndCombinesMax) {
   EXPECT_EQ(s.max, 1000u);
   EXPECT_EQ(s.counts[s.bucketer.BucketFor(5)], 3u);
   EXPECT_EQ(s.counts[s.bucketer.BucketFor(1000)], 2u);
-}
-
-TEST(MetricsRegistryTest, CollectReturnsEveryInstrument) {
-  MetricsRegistry registry;
-  Counter* c = registry.AddCounter("test_ops_total", "ops",
-                                   {{"key", "alpha"}});
-  Gauge* g = registry.AddGauge("test_depth", "depth");
-  registry.AddCallback("test_derived", "derived", MetricKind::kGauge, {},
-                       [] { return 42.0; });
-  LogHistogram* h = registry.AddHistogram("test_latency_ns", "latency",
-                                          LogBucketer::PowersOfTwo());
-  c->Increment(7);
-  g->Set(3.5);
-  h->Record(100);
-
-  const MetricsSnapshot snapshot = registry.Collect();
-  ASSERT_EQ(snapshot.samples.size(), 3u);
-  ASSERT_EQ(snapshot.histograms.size(), 1u);
-  EXPECT_EQ(snapshot.samples[0].name, "test_ops_total");
-  EXPECT_EQ(snapshot.samples[0].value, 7.0);
-  ASSERT_EQ(snapshot.samples[0].labels.size(), 1u);
-  EXPECT_EQ(snapshot.samples[0].labels[0].second, "alpha");
-  EXPECT_EQ(snapshot.samples[1].value, 3.5);
-  EXPECT_EQ(snapshot.samples[2].value, 42.0);
-  EXPECT_EQ(snapshot.histograms[0].snapshot.count, 1u);
 }
 
 TEST(TraceRingTest, CapacityRoundsUpToPowerOfTwo) {
