@@ -154,6 +154,87 @@ TEST(SsbmTest, QuadraticScanMatchesTreeOnExactTies) {
   }
 }
 
+// Seeded piece slices with mixed widths (fractional, unit and multi-cell),
+// zero counts and gaps between slices.
+std::vector<HistogramModel::Piece> MixedSlices(std::uint64_t seed, int n) {
+  constexpr double kWidths[] = {1.0, 1.0, 0.5, 2.5, 7.0, 0.25};
+  Rng rng(seed);
+  std::vector<HistogramModel::Piece> slices;
+  double left = -50.0;
+  for (int i = 0; i < n; ++i) {
+    if (rng.Bernoulli(0.3)) {
+      left += 1.0 + static_cast<double>(rng.UniformInt(6));
+    }
+    const double width = kWidths[rng.UniformInt(6)];
+    const double count =
+        rng.Bernoulli(0.15) ? 0.0 : static_cast<double>(rng.UniformInt(40));
+    slices.push_back({left, left + width, count});
+    left += width;
+  }
+  return slices;
+}
+
+TEST(SsbmTest, EveryOptionCombinationIsPinned) {
+  // Bit-identity pins of BuildSsbm under every deviation policy and merge
+  // key, over per-value cluster data and over piece slices. Each digest
+  // folds the models built at budgets 1, 7 and 64; the tournament tree and
+  // the quadratic scan must both reproduce it, so a change both selection
+  // paths share still moves a digest.
+  ClusterDataConfig config;
+  config.num_points = 6'000;
+  config.domain_size = 801;
+  config.num_clusters = 40;
+  config.seed = 17;
+  const FrequencyVector cluster_data(config.domain_size,
+                                     GenerateClusterData(config));
+  const std::vector<HistogramModel::Piece> slices = MixedSlices(29, 300);
+  using Key = SsbmOptions::MergeKey;
+  struct Case {
+    bool slice_input;
+    DeviationPolicy policy;
+    Key key;
+    std::uint64_t digest;
+  };
+  const Case cases[] = {
+      {false, DeviationPolicy::kSquared, Key::kMergedDeviation,
+       0xb857ccbc21186dd6ull},
+      {false, DeviationPolicy::kSquared, Key::kDeviationIncrease,
+       0xbd8402c603a9b986ull},
+      {false, DeviationPolicy::kAbsolute, Key::kMergedDeviation,
+       0x32d38966f46d4d14ull},
+      {false, DeviationPolicy::kAbsolute, Key::kDeviationIncrease,
+       0x0c481e3a461a78edull},
+      {true, DeviationPolicy::kSquared, Key::kMergedDeviation,
+       0x25ef68f189d65737ull},
+      {true, DeviationPolicy::kSquared, Key::kDeviationIncrease,
+       0x3749804ea91b0725ull},
+      {true, DeviationPolicy::kAbsolute, Key::kMergedDeviation,
+       0x7e4bc5551b24d92bull},
+      {true, DeviationPolicy::kAbsolute, Key::kDeviationIncrease,
+       0x1874b98b95a48ae4ull},
+  };
+  for (const Case& c : cases) {
+    for (const bool scan : {false, true}) {
+      SsbmOptions options;
+      options.policy = c.policy;
+      options.merge_key = c.key;
+      options.use_quadratic_scan = scan;
+      std::uint64_t digest = testing::kModelDigestBasis;
+      for (const std::int64_t buckets : {1, 7, 64}) {
+        const HistogramModel model =
+            c.slice_input ? BuildSsbm(slices, buckets, options)
+                          : BuildSsbm(cluster_data, buckets, options);
+        digest = testing::ModelDigest(model, digest);
+      }
+      EXPECT_EQ(digest, c.digest)
+          << (c.slice_input ? "slices" : "cluster data") << " policy "
+          << static_cast<int>(c.policy) << " key " << static_cast<int>(c.key)
+          << (scan ? " scan" : " tree") << ": digest 0x" << std::hex
+          << digest;
+    }
+  }
+}
+
 TEST(SsbmTest, TotalMassInvariantUnderMerging) {
   Rng rng(5);
   std::vector<ValueFreq> entries;
