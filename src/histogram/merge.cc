@@ -7,14 +7,6 @@
 
 namespace dynhist {
 
-namespace {
-
-// Pieces whose density (the mass of one integer cell) falls below this are
-// empty space to the reduction.
-constexpr double kMinDensity = 1e-12;
-
-}  // namespace
-
 void SnapshotMerger::SweepInto(const std::vector<HistogramModel>& models) {
   pieces_.clear();
   cursors_.clear();
@@ -35,6 +27,7 @@ void SnapshotMerger::SweepInto(const std::vector<HistogramModel>& models) {
   // * log models) overall, independent of range widths and of the domain.
   double density = 0.0;  // sum of the densities of the covering pieces
   int coverage = 0;      // number of covering pieces
+  int massive = 0;       // number of covering pieces with count > 0
   double cur_x = 0.0;
   bool started = false;
   while (!heap_.empty()) {
@@ -45,7 +38,8 @@ void SnapshotMerger::SweepInto(const std::vector<HistogramModel>& models) {
       if (coverage > 0) {
         // Zero-mass but covered ranges keep a piece: the merged support is
         // exactly the union of the inputs' supports. The density clamp
-        // absorbs residual negative rounding from the on/off deltas.
+        // absorbs residual negative rounding from the on/off deltas; where
+        // no covering piece carries mass the density is exactly 0.
         pieces_.push_back(
             {cur_x, top.x, std::max(0.0, density) * (top.x - cur_x)});
       }
@@ -59,12 +53,16 @@ void SnapshotMerger::SweepInto(const std::vector<HistogramModel>& models) {
       c.active_density = p.Density();
       density += c.active_density;
       ++coverage;
+      massive += p.count > 0.0;
       c.at_right = true;
       c.x = std::max(c.x, p.right);
       heap_.push({c.x, top.cursor});
     } else {
       density -= c.active_density;
       --coverage;
+      // The on/off deltas leave rounding residue behind; dropping it once
+      // no massive piece covers keeps it off the zero-mass ranges.
+      if (p.count > 0.0 && --massive == 0) density = 0.0;
       ++c.index;
       if (c.index < c.pieces->size()) {
         c.at_right = false;
@@ -75,7 +73,7 @@ void SnapshotMerger::SweepInto(const std::vector<HistogramModel>& models) {
       }
     }
   }
-  DH_DCHECK(coverage == 0);
+  DH_DCHECK(coverage == 0 && massive == 0);
 }
 
 HistogramModel SnapshotMerger::Superimpose(
@@ -92,7 +90,7 @@ HistogramModel SnapshotMerger::MergeAndReduce(
   SweepInto(models);
   slices_.clear();
   for (const HistogramModel::Piece& p : pieces_) {
-    if (p.Density() > kMinDensity) slices_.push_back(p);
+    if (p.count > 0.0) slices_.push_back(p);
   }
   if (slices_.empty()) return HistogramModel();
   return BuildSsbm(slices_, buckets);
@@ -108,7 +106,7 @@ HistogramModel ReduceWithSsbm(const HistogramModel& model,
   std::vector<HistogramModel::Piece> slices;
   slices.reserve(model.NumPieces());
   for (const HistogramModel::Piece& p : model.pieces()) {
-    if (p.Density() > kMinDensity) slices.push_back(p);
+    if (p.count > 0.0) slices.push_back(p);
   }
   if (slices.empty()) return HistogramModel();
   return BuildSsbm(slices, buckets);

@@ -39,8 +39,9 @@ HistogramModel Superimpose(const std::vector<HistogramModel>& models);
 
 /// Reduces a composite model to `buckets` buckets with SSBM, feeding its
 /// pieces to SSBM as weighted uniform slices (bucket borders fall on piece
-/// borders only). Zero-density regions (below 1e-12 per cell) are dropped,
-/// so a reduced model's support is the composite's nonzero support.
+/// borders only). Only zero-count pieces are dropped, so a reduced model's
+/// support is the composite's nonzero support and mass at any density,
+/// however sparse, survives the reduction.
 HistogramModel ReduceWithSsbm(const HistogramModel& model,
                               std::int64_t buckets);
 
