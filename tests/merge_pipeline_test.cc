@@ -29,6 +29,7 @@ namespace {
 
 using Piece = HistogramModel::Piece;
 using testing::ReduceWithSsbmCells;
+using testing::SuperimposeHeap;
 using testing::SuperimposeLegacy;
 
 // Replays a Zipf(z) insert stream (optionally with interleaved deletes of
@@ -205,6 +206,55 @@ TEST(PieceSweepSuperimposeTest, DegenerateInputsPinnedAcrossThePipeline) {
   const HistogramModel u = merger.MergeAndReduce({HistogramModel(), a}, 64);
   EXPECT_DOUBLE_EQ(u.TotalCount(), 2.5);
   EXPECT_LT(KsBetweenModels(u, a), 1e-12);
+}
+
+// `k` seeded site models over a shared integer grid: runs of pieces with
+// gaps between them, zero-count pieces, half-cell borders, and neighbours
+// that overlap by 5e-10 (inside the model's 1e-9 tolerance). Every
+// seventh site is empty.
+std::vector<HistogramModel> SiteFleet(std::size_t k, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<HistogramModel> models;
+  for (std::size_t site = 0; site < k; ++site) {
+    if (site % 7 == 6) {
+      models.emplace_back();
+      continue;
+    }
+    std::vector<Piece> pieces;
+    double left = static_cast<double>(rng.UniformInt(0, 60));
+    const int n = 1 + static_cast<int>(rng.UniformInt(40));
+    for (int i = 0; i < n; ++i) {
+      double right = left + static_cast<double>(1 + rng.UniformInt(6));
+      if (rng.Bernoulli(0.1)) right += 0.5;
+      const double count =
+          rng.Bernoulli(0.15) ? 0.0 : rng.UniformDouble(0.0, 100.0);
+      pieces.push_back({left, right, count});
+      left = right;
+      if (rng.Bernoulli(0.2)) {
+        left += static_cast<double>(1 + rng.UniformInt(8));
+      } else if (rng.Bernoulli(0.1)) {
+        left -= 5e-10;
+      }
+    }
+    models.push_back(HistogramModel::FromSimpleBuckets(std::move(pieces)));
+  }
+  return models;
+}
+
+TEST(PieceSweepSuperimposeTest, MatchesHeapSweepBitForBitAtEveryFanIn) {
+  // The aggregator superimposes one model per site, so k has no bound.
+  // At every fan-in the library's sweep emits the heap sweep's composite,
+  // and the merger's fused reduce equals reducing that composite.
+  for (const std::size_t k : {1, 2, 3, 5, 8, 17, 64, 200}) {
+    SCOPED_TRACE(::testing::Message() << "k " << k);
+    const std::vector<HistogramModel> models = SiteFleet(k, 500 + k);
+    const HistogramModel heap = SuperimposeHeap(models);
+    ASSERT_FALSE(heap.Empty());
+    EXPECT_TRUE(testing::ModelsBitIdentical(Superimpose(models), heap));
+    SnapshotMerger merger;
+    EXPECT_TRUE(testing::ModelsBitIdentical(merger.MergeAndReduce(models, 16),
+                                            ReduceWithSsbm(heap, 16)));
+  }
 }
 
 TEST(StreamingReduceTest, PiecesMatchCellsBitForBitOnCellAlignedFleet) {
