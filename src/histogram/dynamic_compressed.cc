@@ -493,6 +493,8 @@ HistogramModel DynamicCompressedHistogram::Model() const {
   std::vector<HistogramModel::Piece> pieces;
   std::vector<HistogramModel::BucketRef> refs;
   if (loading_) {
+    pieces.reserve(loading_counts_.size());
+    refs.reserve(loading_counts_.size());
     for (const auto& [value, count] : loading_counts_) {
       refs.push_back({static_cast<std::uint32_t>(pieces.size()), 1, true});
       pieces.push_back({static_cast<double>(value),
@@ -500,6 +502,8 @@ HistogramModel DynamicCompressedHistogram::Model() const {
     }
     return HistogramModel(std::move(pieces), std::move(refs));
   }
+  pieces.reserve(buckets_.size());
+  refs.reserve(buckets_.size());
   for (std::size_t i = 0; i < buckets_.size(); ++i) {
     const Bucket& b = buckets_[i];
     const double right = b.singular ? b.left + 1.0

@@ -521,6 +521,8 @@ HistogramModel DynamicVOptHistogram::Model() const {
   std::vector<HistogramModel::Piece> pieces;
   std::vector<HistogramModel::BucketRef> refs;
   if (loading_) {
+    pieces.reserve(loading_counts_.size());
+    refs.reserve(loading_counts_.size());
     for (const auto& [value, count] : loading_counts_) {
       refs.push_back({static_cast<std::uint32_t>(pieces.size()), 1, true});
       pieces.push_back({static_cast<double>(value),
@@ -528,6 +530,10 @@ HistogramModel DynamicVOptHistogram::Model() const {
     }
     return HistogramModel(std::move(pieces), std::move(refs));
   }
+  // A bucket exports sub_buckets fragments, or one when it is a cell wide.
+  pieces.reserve(buckets_.size() *
+                 static_cast<std::size_t>(config_.sub_buckets));
+  refs.reserve(buckets_.size());
   Fragment frags[kMaxSubBuckets];
   for (const VBucket& b : buckets_) {
     const int n = FragmentsOf(b, frags);

@@ -22,10 +22,11 @@
 #define DYNHIST_HISTOGRAM_MERGE_H_
 
 #include <cstdint>
-#include <queue>
+#include <functional>
 #include <vector>
 
 #include "src/histogram/model.h"
+#include "src/histogram/tournament_tree.h"
 
 namespace dynhist {
 
@@ -78,19 +79,12 @@ class SnapshotMerger {
   void SweepInto(const std::vector<HistogramModel>& models);
 
   std::vector<Cursor> cursors_;
+  // Slot i holds cursor i's next event position while it has one. The
+  // winner, the lowest cursor among the smallest positions, is the next
+  // event in (position, cursor) order.
+  internal::TournamentTree<std::less<double>> next_;
   std::vector<HistogramModel::Piece> pieces_;  // composite, exactly tiling
   std::vector<HistogramModel::Piece> slices_;  // nonzero pieces for SSBM
-
-  struct HeapEntry {
-    double x = 0.0;
-    std::uint32_t cursor = 0;
-    bool operator>(const HeapEntry& other) const {
-      if (x != other.x) return x > other.x;
-      return cursor > other.cursor;
-    }
-  };
-  std::priority_queue<HeapEntry, std::vector<HeapEntry>, std::greater<>>
-      heap_;
 };
 
 }  // namespace dynhist

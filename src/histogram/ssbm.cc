@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <limits>
 
 #include "src/common/check.h"
 #include "src/histogram/static_common.h"
@@ -13,6 +14,7 @@ namespace dynhist {
 namespace {
 
 using Slice = HistogramModel::Piece;
+using MergeKey = SsbmOptions::MergeKey;
 
 // Live bucket state during merging, over piecewise-uniform input slices (a
 // distinct integer value is the width-1 slice [v, v+1)). Extents are *data*
@@ -23,59 +25,148 @@ using Slice = HistogramModel::Piece;
 // which for width-1 slices is exactly the paper's sum of squared
 // frequencies — so unit-slice input reproduces the per-value algorithm bit
 // for bit. The exported model uses the convention of ModelFromPieceSlices.
-struct MergeBucket {
-  std::size_t first_entry = 0;
-  std::size_t last_entry = 0;
-  double left = 0.0;    // left border of the first slice
-  double right = 0.0;   // right border of the last slice
-  double total = 0.0;   // sum of slice counts
-  double sum_dsq = 0.0; // integral of density^2 over the covered slices
-  std::int64_t prev = -1;
-  std::int64_t next = -1;
+//
+// Bucket ids ascend along the list and a merge folds the right bucket into
+// the left one, so bucket `id` always starts at slice `id`: its left border
+// is slices[id].left, and its last slice is next - 1 (d - 1 for the last
+// bucket). Deriving those keeps the merge loop's state at 32 bytes.
+struct LiveBucket {
+  double right = 0.0;    // right border of the last slice
+  double total = 0.0;    // sum of slice counts
+  double sum_dsq = 0.0;  // integral of density^2 over the covered slices
+  std::int32_t prev = -1;
+  std::int32_t next = -1;
 };
+static_assert(sizeof(LiveBucket) == 32);
 
-double SquaredDeviation(const MergeBucket& b) {
-  const double width = b.right - b.left;
-  return std::max(0.0, b.sum_dsq - b.total * b.total / width);
-}
-
-// Absolute deviation requires the individual densities; O(span).
-double AbsoluteDeviation(const MergeBucket& b,
-                         const std::vector<Slice>& slices) {
-  const double width = b.right - b.left;
-  const double avg = b.total / width;
-  double dev = 0.0;
-  double covered = 0.0;
-  for (std::size_t i = b.first_entry; i <= b.last_entry; ++i) {
-    const double w = slices[i].Width();
-    dev += w * std::fabs(slices[i].count / w - avg);
-    covered += w;
+// Merges `slices` down to `target` buckets. The policy and the merge key
+// are template arguments, so the selection's key evaluations carry no
+// per-call option branches.
+template <DeviationPolicy kPolicy, MergeKey kKey>
+HistogramModel MergeToBudget(const std::vector<Slice>& slices,
+                             std::size_t target, bool quadratic_scan) {
+  const std::size_t d = slices.size();
+  // The exact histogram: one bucket per input slice (rho = 0).
+  std::vector<LiveBucket> bucket(d);
+  for (std::size_t i = 0; i < d; ++i) {
+    const Slice& s = slices[i];
+    bucket[i] = {s.right, s.count, s.count * s.count / s.Width(),
+                 static_cast<std::int32_t>(i) - 1,
+                 i + 1 < d ? static_cast<std::int32_t>(i) + 1 : -1};
   }
-  dev += (width - covered) * avg;  // gap zeros deviate by avg each
-  return dev;
-}
+  const auto last_slice = [&](std::size_t id) {
+    return bucket[id].next < 0 ? d - 1
+                               : static_cast<std::size_t>(bucket[id].next) - 1;
+  };
+  // The deviation rho (Eq. 3 or 5) of one bucket over slices [first, last].
+  const auto deviation = [&](std::size_t first, std::size_t last, double left,
+                             double right, double total, double sum_dsq) {
+    const double width = right - left;
+    if constexpr (kPolicy == DeviationPolicy::kSquared) {
+      return std::max(0.0, sum_dsq - total * total / width);
+    } else {
+      // Absolute deviation requires the individual densities; O(span).
+      const double avg = total / width;
+      double dev = 0.0;
+      double covered = 0.0;
+      for (std::size_t i = first; i <= last; ++i) {
+        const double w = slices[i].Width();
+        dev += w * std::fabs(slices[i].count / w - avg);
+        covered += w;
+      }
+      dev += (width - covered) * avg;  // gap zeros deviate by avg each
+      return dev;
+    }
+  };
+  // The merge key of live bucket `i` and its successor.
+  const auto pair_key = [&](std::size_t i) {
+    const LiveBucket& a = bucket[i];
+    const auto j = static_cast<std::size_t>(a.next);
+    const LiveBucket& b = bucket[j];
+    const double left = slices[i].left;
+    const std::size_t b_last = last_slice(j);
+    const double rho_m = deviation(i, b_last, left, b.right, a.total + b.total,
+                                   a.sum_dsq + b.sum_dsq);
+    if constexpr (kKey == MergeKey::kMergedDeviation) {
+      return rho_m;
+    } else {
+      return rho_m - deviation(i, j - 1, left, a.right, a.total, a.sum_dsq) -
+             deviation(j, b_last, slices[j].left, b.right, b.total,
+                       b.sum_dsq);
+    }
+  };
 
-double Deviation(const MergeBucket& b, const std::vector<Slice>& slices,
-                 DeviationPolicy policy) {
-  return policy == DeviationPolicy::kSquared ? SquaredDeviation(b)
-                                             : AbsoluteDeviation(b, slices);
-}
+  // Pair slot i holds the merge key of bucket i and its successor while
+  // both are live. Bucket ids ascend along the list, so slot order is value
+  // order and the tree's winner — the leftmost smallest key — is the pair
+  // the paper's scan picks. A merge changes three slots: the absorbed
+  // bucket's (now empty), the merged bucket's and its predecessor's.
+  internal::TournamentTree<std::less<double>> pairs;
+  const auto repair_pair = [&](std::size_t i) {
+    if (bucket[i].next < 0) {
+      pairs.Clear(i);
+    } else {
+      pairs.Set(i, pair_key(i));
+    }
+    pairs.Repair(i, i);
+  };
+  // The paper's cost model: every merge rescans all surviving adjacent
+  // pairs (O(D) per merge, O(D^2) total).
+  const auto scan = [&] {
+    std::size_t best = d;
+    double best_key = 0.0;
+    for (std::size_t i = 0; bucket[i].next >= 0;
+         i = static_cast<std::size_t>(bucket[i].next)) {
+      const double key = pair_key(i);
+      if (best == d || key < best_key) {
+        best = i;
+        best_key = key;
+      }
+    }
+    return best;
+  };
+  if (!quadratic_scan) {
+    pairs.Reset(d - 1);
+    for (std::size_t i = 0; i + 1 < d; ++i) pairs.Set(i, pair_key(i));
+    pairs.Repair(0, d - 2);
+  }
 
-MergeBucket Merged(const MergeBucket& a, const MergeBucket& b) {
-  DH_DCHECK(a.last_entry + 1 == b.first_entry);
-  MergeBucket m;
-  m.first_entry = a.first_entry;
-  m.last_entry = b.last_entry;
-  m.left = a.left;
-  m.right = b.right;
-  m.total = a.total + b.total;
-  m.sum_dsq = a.sum_dsq + b.sum_dsq;
-  return m;
-}
+  for (std::size_t live = d; live > target; --live) {
+    const std::size_t best = quadratic_scan ? scan() : pairs.Winner().index;
+    DH_CHECK(best < d);
+    // Merge the successor into bucket `best`.
+    LiveBucket& a = bucket[best];
+    const auto gone = static_cast<std::size_t>(a.next);
+    const LiveBucket& g = bucket[gone];
+    a.right = g.right;
+    a.total = a.total + g.total;
+    a.sum_dsq = a.sum_dsq + g.sum_dsq;
+    a.next = g.next;
+    if (a.next >= 0) {
+      bucket[static_cast<std::size_t>(a.next)].prev =
+          static_cast<std::int32_t>(best);
+    }
+    if (!quadratic_scan) {
+      if (gone < pairs.size()) {
+        pairs.Clear(gone);
+        pairs.Repair(gone, gone);
+      }
+      repair_pair(best);
+      if (a.prev >= 0) repair_pair(static_cast<std::size_t>(a.prev));
+    }
+  }
 
-bool IsSingular(const std::vector<Slice>& slices, const MergeBucket& b) {
-  return b.first_entry == b.last_entry &&
-         slices[b.first_entry].Width() == 1.0;
+  // Export the surviving buckets in value order. The head is always bucket
+  // 0: merges fold right buckets into left ones.
+  std::vector<internal::BucketSlice> out;
+  out.reserve(target);
+  for (std::size_t i = 0;; i = static_cast<std::size_t>(bucket[i].next)) {
+    const std::size_t last = last_slice(i);
+    out.push_back({i, last, i == last && slices[i].Width() == 1.0});
+    if (bucket[i].next < 0) break;
+  }
+  DH_CHECK(out.size() == target);
+  return internal::ModelFromPieceSlices(slices, out);
 }
 
 }  // namespace
@@ -85,6 +176,8 @@ HistogramModel BuildSsbm(const std::vector<Slice>& slices,
   DH_CHECK(buckets >= 1);
   if (slices.empty()) return HistogramModel();
   const std::size_t d = slices.size();
+  DH_CHECK(d <= static_cast<std::size_t>(
+                    std::numeric_limits<std::int32_t>::max()));
   for (std::size_t i = 0; i < d; ++i) {
     DH_CHECK(slices[i].right > slices[i].left && slices[i].count >= 0.0);
     // Same overlap tolerance as the HistogramModel constructor.
@@ -98,108 +191,23 @@ HistogramModel BuildSsbm(const std::vector<Slice>& slices,
     return internal::ModelFromPieceSlices(slices, out);
   }
 
-  // The exact histogram: one bucket per input slice (rho = 0).
-  std::vector<MergeBucket> bucket(d);
-  for (std::size_t i = 0; i < d; ++i) {
-    bucket[i].first_entry = bucket[i].last_entry = i;
-    bucket[i].left = slices[i].left;
-    bucket[i].right = slices[i].right;
-    bucket[i].total = slices[i].count;
-    bucket[i].sum_dsq = slices[i].count * slices[i].count / slices[i].Width();
-    bucket[i].prev = static_cast<std::int64_t>(i) - 1;
-    bucket[i].next = (i + 1 < d) ? static_cast<std::int64_t>(i) + 1 : -1;
+  const auto target = static_cast<std::size_t>(buckets);
+  const bool scan = options.use_quadratic_scan;
+  const bool merged = options.merge_key == MergeKey::kMergedDeviation;
+  if (options.policy == DeviationPolicy::kSquared) {
+    return merged ? MergeToBudget<DeviationPolicy::kSquared,
+                                  MergeKey::kMergedDeviation>(slices, target,
+                                                              scan)
+                  : MergeToBudget<DeviationPolicy::kSquared,
+                                  MergeKey::kDeviationIncrease>(slices, target,
+                                                                scan);
   }
-
-  const auto merge_key = [&](const MergeBucket& a,
-                             const MergeBucket& b) -> double {
-    const MergeBucket m = Merged(a, b);
-    const double rho_m = Deviation(m, slices, options.policy);
-    if (options.merge_key == SsbmOptions::MergeKey::kMergedDeviation) {
-      return rho_m;
-    }
-    return rho_m - Deviation(a, slices, options.policy) -
-           Deviation(b, slices, options.policy);
-  };
-
-  // Pair slot i holds the merge key of bucket i and its successor while
-  // both are live. Bucket ids ascend along the list, so slot order is value
-  // order and the tree's winner — the leftmost smallest key — is the pair
-  // the paper's scan picks. A merge changes three slots: the absorbed
-  // bucket's (now empty), the merged bucket's and its predecessor's.
-  internal::TournamentTree<std::less<double>> pairs;
-  const auto repair_pair = [&](std::size_t i) {
-    const MergeBucket& a = bucket[i];
-    if (a.next < 0) {
-      pairs.Clear(i);
-    } else {
-      pairs.Set(i, merge_key(a, bucket[static_cast<std::size_t>(a.next)]));
-    }
-    pairs.Repair(i, i);
-  };
-  // The paper's cost model: every merge rescans all surviving adjacent
-  // pairs (O(D) per merge, O(D^2) total).
-  const auto scan = [&] {
-    std::size_t best = d;
-    double best_key = 0.0;
-    for (std::int64_t i = 0; i >= 0;
-         i = bucket[static_cast<std::size_t>(i)].next) {
-      const MergeBucket& a = bucket[static_cast<std::size_t>(i)];
-      if (a.next < 0) break;
-      const double key =
-          merge_key(a, bucket[static_cast<std::size_t>(a.next)]);
-      if (best == d || key < best_key) {
-        best = static_cast<std::size_t>(i);
-        best_key = key;
-      }
-    }
-    return best;
-  };
-  if (!options.use_quadratic_scan) {
-    pairs.Reset(d - 1);
-    for (std::size_t i = 0; i + 1 < d; ++i) {
-      pairs.Set(i, merge_key(bucket[i], bucket[i + 1]));
-    }
-    pairs.Repair(0, d - 2);
-  }
-
-  for (std::size_t live = d; live > static_cast<std::size_t>(buckets);
-       --live) {
-    const std::size_t best =
-        options.use_quadratic_scan ? scan() : pairs.Winner().index;
-    DH_CHECK(best < d);
-    // Merge the successor into bucket `best`.
-    MergeBucket& a = bucket[best];
-    const auto gone = static_cast<std::size_t>(a.next);
-    const std::int64_t a_prev = a.prev;
-    const std::int64_t after = bucket[gone].next;
-    a = Merged(a, bucket[gone]);
-    a.prev = a_prev;
-    a.next = after;
-    if (after >= 0) {
-      bucket[static_cast<std::size_t>(after)].prev =
-          static_cast<std::int64_t>(best);
-    }
-    if (!options.use_quadratic_scan) {
-      if (gone < pairs.size()) {
-        pairs.Clear(gone);
-        pairs.Repair(gone, gone);
-      }
-      repair_pair(best);
-      if (a_prev >= 0) repair_pair(static_cast<std::size_t>(a_prev));
-    }
-  }
-
-  // Export the surviving buckets in value order. The head is always bucket
-  // 0: merges fold right buckets into left ones.
-  std::vector<internal::BucketSlice> out;
-  out.reserve(static_cast<std::size_t>(buckets));
-  for (std::int64_t i = 0; i >= 0;
-       i = bucket[static_cast<std::size_t>(i)].next) {
-    const MergeBucket& b = bucket[static_cast<std::size_t>(i)];
-    out.push_back({b.first_entry, b.last_entry, IsSingular(slices, b)});
-  }
-  DH_CHECK(out.size() == static_cast<std::size_t>(buckets));
-  return internal::ModelFromPieceSlices(slices, out);
+  return merged ? MergeToBudget<DeviationPolicy::kAbsolute,
+                                MergeKey::kMergedDeviation>(slices, target,
+                                                            scan)
+                : MergeToBudget<DeviationPolicy::kAbsolute,
+                                MergeKey::kDeviationIncrease>(slices, target,
+                                                              scan);
 }
 
 HistogramModel BuildSsbm(const std::vector<ValueFreq>& entries,
