@@ -16,7 +16,8 @@
 # (scripts/loopback_smoke.sh: real server + client over 127.0.0.1 with
 # bit-identical and idempotence gates) and the repository benchmark's
 # self-test (perfbench/run.py --self-test: exits nonzero when a
-# workload's output checks fail).
+# workload's output checks fail) and the A/B script's self-test
+# (scripts/perf_ab.py --self-test: its statistics and verdicts).
 #
 # Usage: scripts/check.sh [--bench-json] [--metrics-json] [build_dir]
 #   (default build dir: build)
@@ -128,6 +129,10 @@ echo "== benchmark self-test (perfbench output checks) =="
 # Builds perfbench into .bench_build/ on first use, then runs its
 # self-tests and a short pass of every workload.
 python3 perfbench/run.py --self-test
+
+echo "== A/B comparison self-test (scripts/perf_ab.py) =="
+# Checks the A/B script's statistics and verdicts; runs no benchmark.
+python3 scripts/perf_ab.py --self-test
 
 if [[ "$BENCH_JSON" == 1 ]]; then
   echo "== bench series written to BENCH_PR10.json =="
