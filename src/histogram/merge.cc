@@ -30,7 +30,7 @@ void SnapshotMerger::SweepInto(const std::vector<HistogramModel>& models) {
   double density = 0.0;  // sum of the densities of the covering pieces
   int coverage = 0;      // number of covering pieces
   int massive = 0;       // number of covering pieces with count > 0
-  double cur_x = cursors_[next_.Winner().index].x;
+  double cur_x = next_.Winner().key;
   for (auto top = next_.Winner(); !top.empty(); top = next_.Winner()) {
     const std::size_t i = top.index;
     Cursor& c = cursors_[i];

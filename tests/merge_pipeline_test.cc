@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <string_view>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -428,10 +429,10 @@ void ExpectPublishedTotalNear(engine::HistogramEngine& engine,
 }
 
 TEST(SparseMassTest, FeedbackSpreadOverTheWholeDomainIsPublished) {
-  // One observation over nearly all of [-2^53, 2^53) spreads the true
-  // count at ~1e-14 per cell. That mass is data, not rounding: the
-  // reduction keeps it (it used to drop pieces under 1e-12 per cell and
-  // published about a fifth of the total).
+  // One observation over [-2^52, 2^52) spreads the true count at ~1e-14
+  // per cell. Inside the value domain that is data, not rounding, so the
+  // reduction must keep it; a 1e-12-per-cell cut-off published about a
+  // fifth of the total.
   engine::EngineOptions options;
   options.kind = engine::ShardHistogramKind::kStFeedback;
   engine::HistogramEngine engine(options);
@@ -444,7 +445,8 @@ TEST(SparseMassTest, FeedbackSpreadOverTheWholeDomainIsPublished) {
 TEST(SparseMassTest, FarTailSurvivesThePublish) {
   // A dense body and a 50-tuple tail 2^45 away, arriving through the
   // stream: the buckets that bridge them are sparse but real mass, and
-  // every kind publishes it (DVO and DADO used to lose 10 and 13 tuples).
+  // every kind publishes it (a 1e-12-per-cell cut-off lost 10 and 13
+  // tuples here under DVO and DADO).
   using engine::ShardHistogramKind;
   for (const ShardHistogramKind kind :
        {ShardHistogramKind::kDynamicCompressed,
