@@ -1059,8 +1059,8 @@ EngineSnapshot HistogramEngine::Publish(
 
   // Compile the flat query arena before the model is moved into the
   // shared state. O(pieces): ~0.3 us for a 64-bucket snapshot against
-  // ~280 us for the merge above (perfbench ingest medians), so the
-  // publish-latency envelope is unchanged.
+  // ~230 us for the tree-driven sweep and SSBM reduction above (perfbench
+  // ingest medians), so the publish-latency envelope is unchanged.
   CompiledSnapshot compiled = CompiledSnapshot::Compile(merged);
 
   const std::uint64_t epoch =

@@ -126,9 +126,9 @@ struct KeyState {
   std::atomic<std::uint64_t> last_leased_version{0};
 
   // Publish-path scratch reused across epochs (guarded by publish_mu):
-  // the exported shard models and the merger's sweep/reduction buffers,
-  // so a steady-state publisher allocates nothing proportional to the
-  // shard count or piece count.
+  // the vector that holds the exported shard models, and the merger's
+  // sweep and slice buffers. Each export still allocates its model's
+  // pieces, and each reduction its SSBM bucket array and pair tree.
   std::vector<HistogramModel> model_scratch;
   SnapshotMerger merger;
 };

@@ -9,14 +9,16 @@
 // one), so this module sits under both.
 //
 // Domain-independent end to end: Superimpose runs one k-way border sweep
-// over the inputs' pieces (O(total pieces * log sites)), and the SSBM
-// reduction consumes the composite's pieces directly as weighted slices.
-// SSBM seeds a tournament tree with the pair keys in O(pieces), then
-// repairs three tree slots per merge in O(log pieces) each — publish cost
-// scales with bucket counts, never with the attribute domain. Measured on
-// the perfbench ingest workload (8 DADO shards x 64 buckets, an ~820-piece
-// composite), medians: loaded publish ~410 us, of which merge ~280 us;
-// unloaded reduce ~125 us.
+// over the inputs' pieces, taking the next border from a tournament tree
+// (tournament_tree.h) with one slot per input (O(total pieces * log
+// sites)), and the SSBM reduction consumes the composite's pieces directly
+// as weighted slices. SSBM seeds a second tournament tree with the pair
+// keys in O(pieces), then repairs three tree slots per merge in
+// O(log pieces) each — publish cost scales with bucket counts, never with
+// the attribute domain. Measured on the perfbench ingest workload (8 DADO
+// shards x 64 buckets, an ~820-piece composite), medians: loaded publish
+// ~335 us, of which merge ~230 us; unloaded sweep ~50 us and reduce
+// ~115-135 us.
 
 #ifndef DYNHIST_HISTOGRAM_MERGE_H_
 #define DYNHIST_HISTOGRAM_MERGE_H_
@@ -46,11 +48,11 @@ HistogramModel Superimpose(const std::vector<HistogramModel>& models);
 HistogramModel ReduceWithSsbm(const HistogramModel& model,
                               std::int64_t buckets);
 
-/// Reusable merge pipeline: superimpose + optional SSBM reduction with all
-/// intermediate buffers (sweep cursors, composite pieces, reduction slices)
-/// retained across calls, so a steady-state publisher allocates nothing
-/// proportional to the inputs. Not thread-safe; the engine keeps one per
-/// key under its publish lock.
+/// Reusable merge pipeline: superimpose + optional SSBM reduction. The
+/// sweep's buffers (cursors, border tree, composite pieces, reduction
+/// slices) are retained across calls; each call still allocates SSBM's
+/// bucket array and pair tree and the returned model's vectors. Not
+/// thread-safe; the engine keeps one per key under its publish lock.
 class SnapshotMerger {
  public:
   /// Lossless superposition (same result as the free Superimpose).
