@@ -57,8 +57,8 @@ ROOT = os.path.dirname(HERE)
 CLAIM_WIN_SHARE = 0.9
 
 
-def load_benchmark(root=ROOT):
-    with open(os.path.join(root, "BENCHMARK.json")) as f:
+def load_benchmark():
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         return json.load(f)
 
 
@@ -214,15 +214,13 @@ def compare(args):
     problems = run_failures(pairs)
     summaries = []
     for spec in bench["end_to_end"]:
-        base = [b["metrics"][spec["name"]]["value"] for b, c in pairs
-                if b and c and spec["name"] in b["metrics"]
-                and spec["name"] in c["metrics"]]
-        change = [c["metrics"][spec["name"]]["value"] for b, c in pairs
-                  if b and c and spec["name"] in b["metrics"]
-                  and spec["name"] in c["metrics"]]
-        if len(base) >= 2:
-            summaries.append(verdict(spec, base, change,
-                                     spec["name"] == args.claim))
+        name = spec["name"]
+        both = [(b["metrics"][name]["value"], c["metrics"][name]["value"])
+                for b, c in pairs
+                if b and c and name in b["metrics"] and name in c["metrics"]]
+        if len(both) >= 2:
+            base, change = (list(side) for side in zip(*both))
+            summaries.append(verdict(spec, base, change, name == args.claim))
     print("%s seed %d, %d pairs of %d s" % (args.workload, args.seed,
                                             args.pairs, args.seconds))
     print(format_report(summaries, problems))

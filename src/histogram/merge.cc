@@ -19,7 +19,9 @@ void SnapshotMerger::SweepInto(const std::vector<HistogramModel>& models) {
   }
   if (cursors_.empty()) return;
   next_.Reset(cursors_.size());
-  for (std::size_t i = 0; i < cursors_.size(); ++i) next_.Set(i, cursors_[i].x);
+  for (std::size_t i = 0; i < cursors_.size(); ++i) {
+    next_.Set(i, cursors_[i].x);
+  }
   next_.Repair(0, cursors_.size() - 1);
 
   // k-way sweep: take the globally next border (ties to the lowest cursor),
