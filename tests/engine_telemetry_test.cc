@@ -223,19 +223,16 @@ TEST(EngineTelemetryTest, ExpositionExposesPerKeySeriesAndStaleness) {
 
 // Pins the whole exposition of a deterministic scenario that reaches
 // every engine series: async cadence trips (queued, coalesced, drained,
-// skipped), sync refreshes, an ST-FEEDBACK key with good and rejected
-// feedback, out-of-domain values, string/handle/batch/leased reads,
-// unknown-key reads, and a resolved key that never publishes. The
-// digest covers every family, HELP, TYPE, label set and value; change it
-// only with a deliberate change to the exposition.
+// skipped), sync refreshes, a key given good and rejected feedback,
+// out-of-domain values, string/handle/batch/leased reads, unknown-key
+// reads, and a resolved key that never publishes. The digest covers
+// every family, HELP, TYPE, label set and value; change it only with a
+// deliberate change to the exposition.
 TEST(EngineTelemetryTest, ExpositionIsPinnedForADeterministicScenario) {
   EngineOptions options = ManualOptions();
   options.snapshot_every = 16;
   options.async_publish = true;
   HistogramEngine engine(options);
-  KeyOptionOverrides feedback_key;
-  feedback_key.backend = ShardHistogramKind::kStFeedback;
-  engine.SetKeyOptions("feedback.col", feedback_key);
 
   for (int i = 0; i < 20; ++i) engine.Insert("orders.amount", i % 25);
   EXPECT_EQ(engine.PumpPublishes(), 1u);  // the trip at update 16

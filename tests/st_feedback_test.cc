@@ -261,39 +261,20 @@ TEST(StFeedbackTest, DataDrivenBackendsIgnoreFeedback) {
   EXPECT_TRUE(testing::ModelsBitIdentical(before, dc.Model()));
 }
 
-TEST(StFeedbackEngineTest, PerKeyBackendOverrideCoexistsWithDataKeys) {
-  engine::EngineOptions options;
+TEST(StFeedbackEngineTest, FeedbackOnDataDrivenKeyIsAnAcceptedNoOp) {
+  engine::EngineOptions options;  // the default kind, DADO
   options.shards = 4;
   options.batch_size = 1;
   options.snapshot_every = 0;
-  options.st_feedback.domain_lo = 0;
-  options.st_feedback.domain_hi = 999;
   engine::HistogramEngine engine(options);
 
-  // The backend override must precede the key's first update.
-  engine::KeyOptionOverrides stf;
-  stf.backend = engine::ShardHistogramKind::kStFeedback;
-  engine.SetKeyOptions("stf.key", stf);
-  EXPECT_EQ(engine.EffectiveOptions("stf.key").kind,
-            engine::ShardHistogramKind::kStFeedback);
-  // Data keys keep the global kind, and a late backend override on an
-  // existing key is ignored (shard layout is immutable).
   engine.Insert("data.key", 5);
-  engine.SetKeyOptions("data.key", stf);
-  EXPECT_EQ(engine.EffectiveOptions("data.key").kind,
-            engine::ShardHistogramKind::kDynamicAdo);
-
-  for (int i = 0; i < 64; ++i) engine.RecordFeedback("stf.key", 100, 199, 800.0);
-  engine.RefreshSnapshot("stf.key");
-  EXPECT_NEAR(engine.EstimateRange("stf.key", 100, 199), 800.0, 1.0);
-
-  // Feedback against a data-driven key is an accepted no-op.
   engine.RecordFeedback("data.key", 0, 999, 1e6);
   engine.RefreshSnapshot("data.key");
   EXPECT_NEAR(engine.EstimateRange("data.key", 0, 999), 1.0, 1e-9);
   EXPECT_EQ(engine.Stats("data.key").feedbacks, 1u);
-  EXPECT_EQ(engine.Stats("stf.key").feedbacks, 64u);
-  EXPECT_EQ(engine.Stats().feedbacks, 65u);
+  EXPECT_EQ(engine.Stats("data.key").rejected_feedbacks, 0u);
+  EXPECT_EQ(engine.Stats().feedbacks, 1u);
 }
 
 TEST(StFeedbackEngineTest, FeedbackFlowsThroughShardBuffersAndTelemetry) {
