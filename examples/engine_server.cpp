@@ -7,20 +7,19 @@
 // optimizer's view. Each reader resolves its KeyHandle once, up front
 // (the per-connection pattern), so the query loop revalidates a
 // thread-local snapshot lease instead of re-finding the key and
-// re-acquiring the snapshot shared_ptr on every call. Publication runs through the async merge pipeline:
-// the writer that trips the snapshot cadence enqueues a publish request
-// and keeps ingesting; a merge worker drains the queue (coalescing
-// duplicate requests for the key) and swaps the snapshot. A second,
-// cold key shows per-key options: it publishes lazily on a much longer
-// cadence via SetKeyOptions. At the end the final snapshot is scored
-// (KS distance, §6.2) against the exact FrequencyVector ground truth
+// re-acquiring the snapshot shared_ptr on every call. Publication runs
+// through the async merge pipeline: the writer that trips the snapshot
+// cadence enqueues a publish request and keeps ingesting; a merge worker
+// drains the queue (coalescing duplicate requests for the key) and swaps
+// the snapshot. A second, cold key gets a trickle of traffic under the
+// same engine-wide options. At the end the final snapshot is scored (KS
+// distance, §6.2) against the exact FrequencyVector ground truth
 // assembled from everything the writers actually did.
 //
 // The run also demonstrates the telemetry subsystem: per-key stats
 // (Stats(key).ToJson()) are printed, and the engine's metrics
 // exposition / trace ring can be dumped to files:
 //   --metrics-out=PATH       Prometheus text exposition
-//   --metrics-json-out=PATH  JSON exposition
 //   --trace-out=PATH         chrome://tracing event dump
 // The Prometheus dump is always run through SelfCheckPrometheus (even
 // without --metrics-out) and the process exits nonzero if the format
@@ -151,7 +150,7 @@ int main(int argc, char** argv) {
   using namespace dynhist;
   using namespace dynhist::engine;
 
-  std::string metrics_out, metrics_json_out, trace_out, port_file;
+  std::string metrics_out, trace_out, port_file;
   bool serve = false;
   long serve_port = 0;
   long serve_seconds = 0;
@@ -159,8 +158,6 @@ int main(int argc, char** argv) {
     const std::string arg = argv[i];
     if (arg.rfind("--metrics-out=", 0) == 0) {
       metrics_out = arg.substr(14);
-    } else if (arg.rfind("--metrics-json-out=", 0) == 0) {
-      metrics_json_out = arg.substr(19);
     } else if (arg.rfind("--trace-out=", 0) == 0) {
       trace_out = arg.substr(12);
     } else if (arg.rfind("--serve=", 0) == 0) {
@@ -201,12 +198,10 @@ int main(int argc, char** argv) {
   options.kind = ShardHistogramKind::kDynamicAdo;
   HistogramEngine engine(options);
 
-  // Per-key overrides layered over the defaults: the cold key refreshes an
-  // order of magnitude less often and with a smaller published budget.
+  // A second key under the same options; its trickle of traffic never
+  // reaches the cadence, so it publishes only when refreshed at the end.
   constexpr char kColdKey[] = "orders.priority";
   const KeyHandle cold_handle = engine.Resolve(kColdKey);
-  engine.SetKeyOptions(cold_handle, {.snapshot_every = 100'000,
-                                     .merged_buckets = 16});
 
   // What a server holds per connection: the key resolved once, up front,
   // so the reader loops below never touch the registry again.
@@ -239,7 +234,7 @@ int main(int argc, char** argv) {
       for (const UpdateOp& op : script) {
         if (op.kind == UpdateOp::Kind::kInsert) {
           engine.Insert(kKey, op.value);
-          // A trickle of traffic for the lazily-published cold key.
+          // A trickle of traffic for the cold key.
           if (++i % 64 == 0) engine.Insert(kColdKey, op.value % 8);
         } else {
           engine.Delete(kKey, op.value);
@@ -314,7 +309,7 @@ int main(int argc, char** argv) {
                   : static_cast<double>(stats.publish_nanos) / 1e3 /
                         static_cast<double>(stats.publishes));
   const EngineSnapshot cold = engine.RefreshSnapshot(kColdKey);
-  std::printf("cold key: %zu buckets (override 16), mass %.0f\n",
+  std::printf("cold key: %zu buckets, mass %.0f\n",
               cold.model().NumBuckets(), cold.TotalCount());
   std::printf("KS(final snapshot, truth) = %.4f\n",
               KsStatistic(truth, final_snapshot.model()));
@@ -363,11 +358,6 @@ int main(int argc, char** argv) {
               prom.size());
   if (!metrics_out.empty() && !WriteFileOrComplain(metrics_out, prom)) {
     return 1;
-  }
-  if (!metrics_json_out.empty()) {
-    std::string json;
-    engine.WriteMetricsJson(&json);
-    if (!WriteFileOrComplain(metrics_json_out, json)) return 1;
   }
   if (!trace_out.empty()) {
     std::string trace;

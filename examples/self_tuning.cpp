@@ -10,7 +10,7 @@
 // converges toward the true distribution purely from its query traffic.
 //
 // Demonstrates:
-//   1. declaring a per-key ST-FEEDBACK backend next to data-driven keys,
+//   1. an engine whose keys all use the ST-FEEDBACK backend,
 //   2. the estimate -> execute -> RecordFeedback loop,
 //   3. watching the mean absolute error fall as the key self-tunes,
 //   4. the feedback telemetry (counters + error histogram) on the side.
@@ -35,15 +35,12 @@ int main() {
   engine::EngineOptions options;
   options.shards = 4;
   options.snapshot_every = 512;  // republish as training accumulates
+  // Every key of this engine is fed by query feedback; data-driven keys
+  // belong in an engine of their own with a DC/DVO/DADO kind.
+  options.kind = engine::ShardHistogramKind::kStFeedback;
   options.st_feedback.domain_lo = 0;
   options.st_feedback.domain_hi = kDomain - 1;
   engine::HistogramEngine engine(options);
-
-  // "orders.amount" is fed by query feedback; any other key keeps the
-  // engine's data-driven default backend.
-  engine::KeyOptionOverrides backend;
-  backend.backend = engine::ShardHistogramKind::kStFeedback;
-  engine.SetKeyOptions("orders.amount", backend);
 
   QueryFeedbackLoop loop(&engine, "orders.amount");
 

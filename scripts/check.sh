@@ -31,10 +31,11 @@
 # batching/pipelining wins only; on several, parallel scaling too).
 #
 # --metrics-json additionally runs scripts/metrics_dump.sh after the
-# benches, dropping the engine's metrics exposition and trace artifacts
-# (METRICS_PR5.prom / METRICS_PR5.json / TRACE_PR5.json) at the repo
-# root next to the BENCH_*.json series. The dump runs the Prometheus
-# format self-check and the whole check fails if the exposition does.
+# benches, dropping the engine's Prometheus exposition and its trace
+# (METRICS_PR5.prom / TRACE_PR5.json, the latter the JSON the flag is
+# named for) at the repo root next to the BENCH_*.json series. The dump
+# runs the Prometheus format self-check and the whole check fails if the
+# exposition does.
 #
 # This is the tier-1 sequence from ROADMAP.md plus the benches, so a single
 # run catches build breaks, unit/concurrency regressions, and gross

@@ -2,7 +2,6 @@
 # Metrics-dump path: runs the engine server demo with its telemetry dump
 # flags and drops the exposition artifacts at the repo root —
 #   METRICS_PR5.prom  Prometheus text exposition
-#   METRICS_PR5.json  JSON exposition (same snapshot)
 #   TRACE_PR5.json    chrome://tracing event dump of the trace ring
 # The server runs SelfCheckPrometheus on its own exposition and exits
 # nonzero when the format check fails, so a broken exposition fails this
@@ -17,7 +16,6 @@ BUILD_DIR="${1:-build}"
 
 "$BUILD_DIR/example_engine_server" \
   --metrics-out=METRICS_PR5.prom \
-  --metrics-json-out=METRICS_PR5.json \
   --trace-out=TRACE_PR5.json
 
 # The server's readers route through the compiled-arena estimate path, so
@@ -32,4 +30,4 @@ for series in dynhist_query_latency_ns_count \
   fi
 done
 
-echo "metrics_dump: wrote METRICS_PR5.prom METRICS_PR5.json TRACE_PR5.json"
+echo "metrics_dump: wrote METRICS_PR5.prom TRACE_PR5.json"

@@ -13,7 +13,6 @@
 #define DYNHIST_ENGINE_ENGINE_OPTIONS_H_
 
 #include <cstdint>
-#include <optional>
 
 #include "src/histogram/st_feedback.h"
 
@@ -42,10 +41,13 @@ struct EngineOptions {
 
   /// Updates (per key) between automatic snapshot publications. 0 disables
   /// automatic publication; snapshots then refresh only via
-  /// RefreshSnapshot() or the background thread.
+  /// RefreshSnapshot() or RefreshAll().
   std::int64_t snapshot_every = 8192;
 
-  /// Histogram kind maintained by every shard.
+  /// Histogram kind maintained by every shard of every key. DC runs with
+  /// the paper's alpha_min = 1e-6 (§3) and DVO/DADO with 2 sub-buckets per
+  /// bucket (§4), the DynamicCompressedConfig and DynamicVOptConfig
+  /// defaults.
   ShardHistogramKind kind = ShardHistogramKind::kDynamicAdo;
 
   /// Buckets per shard histogram (n in §3/§4).
@@ -56,12 +58,6 @@ struct EngineOptions {
   /// with SSBM ("treat the histogram as a data set", §8). 0 publishes the
   /// lossless composite unreduced.
   std::int64_t merged_buckets = 64;
-
-  /// DC only: chi-square repartition threshold (§3).
-  double alpha_min = 1e-6;
-
-  /// DVO/DADO only: equal-width sub-buckets per bucket (§4).
-  int sub_buckets = 2;
 
   /// STF only: learning rate, restructure thresholds, and initial domain
   /// of ST-FEEDBACK shards (see StFeedbackConfig). The `buckets` field is
@@ -78,12 +74,6 @@ struct EngineOptions {
   /// (estimation quality and total mass do not). Disable for op-order
   /// faithful replay.
   bool coalesce_batches = true;
-
-  /// When positive, a background thread republishes every key's snapshot
-  /// at this cadence (skipping keys with no new updates). 0 disables the
-  /// thread; publication is then driven by `snapshot_every` and
-  /// RefreshSnapshot() alone.
-  int background_interval_ms = 0;
 
   /// Publish off the writer thread: when a key's `snapshot_every` cadence
   /// fires, the writer enqueues a publish request onto a bounded queue and
@@ -120,35 +110,6 @@ struct EngineOptions {
   /// chrome://tracing document. 0 disables tracing. Ignored (treated as
   /// 0) when enable_telemetry is false.
   int trace_capacity = 4096;
-};
-
-/// Per-key overrides layered over the engine-wide EngineOptions by
-/// HistogramEngine::SetKeyOptions(). Absent fields keep the global value.
-/// The publish-side knobs take effect immediately, on existing keys,
-/// without touching shard state; `backend` is the one shard-layout knob
-/// and applies at key creation only (the remaining layout knobs —
-/// shards, batch_size, shard_buckets — always come from the global
-/// options).
-struct KeyOptionOverrides {
-  /// Per-key shard histogram kind — the backend selector that lets
-  /// feedback-trained (kStFeedback) keys coexist with data-driven
-  /// DC/DVO/DADO keys in one engine. Unlike every other override this is
-  /// a shard-layout knob, so it takes effect only at key creation:
-  /// SetKeyOptions(unknown key, {.backend = ...}) creates the key with
-  /// that kind; on an already-created key the field is ignored (the
-  /// shard histograms already exist). EffectiveOptions reports the kind
-  /// the key was actually created with.
-  std::optional<ShardHistogramKind> backend{};
-
-  /// Per-key publication cadence (0 disables auto-publish for the key).
-  std::optional<std::int64_t> snapshot_every{};
-
-  /// Per-key bucket budget of the published snapshot.
-  std::optional<std::int64_t> merged_buckets{};
-
-  /// Per-key async publish: hot keys can publish eagerly off-thread while
-  /// cold keys stay on the cheap synchronous path, or vice versa.
-  std::optional<bool> async_publish{};
 };
 
 }  // namespace dynhist::engine

@@ -148,11 +148,7 @@ std::string EngineStats::ToJson() const {
 internal::KeyState::KeyState(std::string key_name,
                              const EngineOptions& options,
                              const ShardTelemetry& shard_telemetry)
-    : name(std::move(key_name)),
-      kind(options.kind),
-      snapshot_every(options.snapshot_every),
-      merged_buckets(options.merged_buckets),
-      async_publish(options.async_publish) {
+    : name(std::move(key_name)) {
   shards.reserve(static_cast<std::size_t>(options.shards));
   for (int i = 0; i < options.shards; ++i) {
     shards.push_back(
@@ -174,20 +170,9 @@ HistogramEngine::HistogramEngine(const EngineOptions& options)
   DH_CHECK(options_.merge_workers >= 0);
   DH_CHECK(options_.publish_queue_capacity >= 0);
   DH_CHECK(options_.trace_capacity >= 0);
-  if (options_.background_interval_ms > 0) {
-    background_ = std::thread([this] { BackgroundLoop(); });
-  }
 }
 
 HistogramEngine::~HistogramEngine() {
-  if (background_.joinable()) {
-    {
-      std::lock_guard<std::mutex> lock(background_mu_);
-      stopping_ = true;
-    }
-    background_cv_.notify_all();
-    background_.join();
-  }
   // Queued publish requests are commitments: drain them (via the workers'
   // stop-after-drain protocol, or inline in manual-pump mode) before the
   // registry they point into is destroyed.
@@ -203,19 +188,12 @@ HistogramEngine::KeyState* HistogramEngine::FindKey(
 
 HistogramEngine::KeyState* HistogramEngine::FindOrCreateKey(
     std::string_view key) {
-  return FindOrCreateKey(key, std::nullopt);
-}
-
-HistogramEngine::KeyState* HistogramEngine::FindOrCreateKey(
-    std::string_view key, std::optional<ShardHistogramKind> backend) {
   if (KeyState* state = FindKey(key)) return state;
   std::unique_lock<std::shared_mutex> lock(registry_mu_);
   auto [it, inserted] = registry_.try_emplace(std::string(key), nullptr);
   if (inserted) {
-    EngineOptions creation_options = options_;
-    if (backend) creation_options.kind = *backend;
     it->second = std::make_unique<KeyState>(
-        it->first, creation_options,
+        it->first, options_,
         ShardTelemetry{telemetry_on_ ? &ingest_batch_hist_ : nullptr,
                        telemetry_on_ ? &coalesce_run_hist_ : nullptr});
   }
@@ -339,29 +317,21 @@ void HistogramEngine::RecordFeedback(const KeyHandle& handle, std::int64_t lo,
 }
 
 void HistogramEngine::Flush(std::string_view key) {
-  if (KeyState* state = FindKey(key)) {
-    const std::uint64_t start_ns = trace_.NowNs();
-    for (const auto& shard : state->shards) shard->Flush();
-    if (telemetry_on_ && trace_.enabled()) {
-      trace_.Record({telemetry::TraceEventKind::kFlush,
-                     state->name.c_str(), "manual",
-                     state->epoch.load(std::memory_order_relaxed),
-                     start_ns, trace_.NowNs() - start_ns, 0});
-    }
-  }
+  if (KeyState* state = FindKey(key)) FlushShards(*state);
 }
 
 void HistogramEngine::FlushAll() {
   std::shared_lock<std::shared_mutex> lock(registry_mu_);
-  for (const auto& [name, state] : registry_) {
-    const std::uint64_t start_ns = trace_.NowNs();
-    for (const auto& shard : state->shards) shard->Flush();
-    if (telemetry_on_ && trace_.enabled()) {
-      trace_.Record({telemetry::TraceEventKind::kFlush,
-                     state->name.c_str(), "manual",
-                     state->epoch.load(std::memory_order_relaxed),
-                     start_ns, trace_.NowNs() - start_ns, 0});
-    }
+  for (const auto& [name, state] : registry_) FlushShards(*state);
+}
+
+void HistogramEngine::FlushShards(KeyState& state) {
+  const std::uint64_t start_ns = trace_.NowNs();
+  for (const auto& shard : state.shards) shard->Flush();
+  if (telemetry_on_ && trace_.enabled()) {
+    trace_.Record({telemetry::TraceEventKind::kFlush, state.name.c_str(),
+                   "manual", state.epoch.load(std::memory_order_relaxed),
+                   start_ns, trace_.NowNs() - start_ns, 0});
   }
 }
 
@@ -382,9 +352,7 @@ EngineSnapshot HistogramEngine::RefreshSnapshot(std::string_view key) {
   return Publish(*FindOrCreateKey(key), "refresh");
 }
 
-void HistogramEngine::RefreshAll() { RefreshAllInternal("refresh"); }
-
-void HistogramEngine::RefreshAllInternal(const char* trigger) {
+void HistogramEngine::RefreshAll() {
   std::vector<KeyState*> states;
   {
     std::shared_lock<std::shared_mutex> lock(registry_mu_);
@@ -394,7 +362,7 @@ void HistogramEngine::RefreshAllInternal(const char* trigger) {
   for (KeyState* state : states) {
     if (state->update_count.load(std::memory_order_relaxed) >
         state->published_at.load(std::memory_order_relaxed)) {
-      Publish(*state, trigger);
+      Publish(*state, "refresh");
     }
   }
 }
@@ -414,36 +382,11 @@ EngineSnapshot HistogramEngine::PublishExternal(std::string_view key,
                                                 HistogramModel model,
                                                 std::uint64_t watermark) {
   KeyState& state = *FindOrCreateKey(key);
-  std::unique_lock<std::mutex> publish_lock(state.publish_mu);
-  const std::uint64_t start_ns = trace_.NowNs();
-  CompiledSnapshot compiled = CompiledSnapshot::Compile(model);
-
-  // The publish tail of Publish(), minus the flush/merge head: same
-  // epoch/version ordering contract, same counters, so externally fed
-  // keys are indistinguishable to readers, leases, and telemetry.
-  const std::uint64_t epoch =
-      state.epoch.fetch_add(1, std::memory_order_relaxed) + 1;
-  auto versioned = std::make_shared<const VersionedModel>(
-      VersionedModel{std::move(model), epoch, watermark,
-                     std::move(compiled)});
-  state.published.store(versioned, std::memory_order_release);
-  state.version.fetch_add(1, std::memory_order_release);
-  state.counters.publishes.fetch_add(1, std::memory_order_release);
-
-  const std::uint64_t end_ns = trace_.NowNs();
-  const std::uint64_t nanos = end_ns - start_ns;
-  state.counters.publish_nanos.fetch_add(nanos, std::memory_order_release);
-  BumpMax(state.counters.max_publish_nanos, nanos);
-  if (telemetry_on_) {
-    state.last_publish_ns.store(end_ns, std::memory_order_relaxed);
-    publish_latency_hist_.Record(nanos);
-    if (trace_.enabled()) {
-      trace_.Record({telemetry::TraceEventKind::kPublish,
-                     state.name.c_str(), "external", epoch, start_ns, nanos,
-                     0});
-    }
-  }
-  return EngineSnapshot(std::move(versioned));
+  std::lock_guard<std::mutex> publish_lock(state.publish_mu);
+  // Publish's tail without its flush/merge head, so externally fed keys
+  // are indistinguishable to readers, leases, and telemetry.
+  return PublishModel(state, std::move(model), watermark, "external",
+                      trace_.NowNs(), nullptr);
 }
 
 double HistogramEngine::EstimateRange(std::string_view key, std::int64_t lo,
@@ -763,23 +706,16 @@ void HistogramEngine::WriteMetricsPrometheus(std::string* out) const {
   telemetry::WritePrometheus(snapshot, out);
 }
 
-void HistogramEngine::WriteMetricsJson(std::string* out) const {
-  telemetry::MetricsSnapshot snapshot;
-  CollectMetrics(&snapshot);
-  telemetry::WriteJson(snapshot, out);
-}
-
 void HistogramEngine::WriteTraceJson(std::string* out) const {
   trace_.DumpChromeTracing(out);
 }
 
 void HistogramEngine::MaybeAutoPublish(KeyState& state) {
-  const std::int64_t every =
-      state.snapshot_every.load(std::memory_order_relaxed);
+  const std::int64_t every = options_.snapshot_every;
   if (every <= 0) return;
   const std::uint64_t count =
       state.update_count.load(std::memory_order_relaxed);
-  if (state.async_publish.load(std::memory_order_relaxed) &&
+  if (options_.async_publish &&
       !workers_stopped_.load(std::memory_order_acquire)) {
     // Async cadence measures from the newer of "last published" and "last
     // requested": a queued request already covers everything up to
@@ -974,59 +910,6 @@ std::size_t HistogramEngine::BufferedOps(std::string_view key) const {
   return buffered;
 }
 
-void HistogramEngine::SetKeyOptions(std::string_view key,
-                                    const KeyOptionOverrides& o) {
-  // The string form is where the backend selector can act: if this call
-  // creates the key, its shards are built with the overridden kind. On
-  // an existing key `backend` is ignored (shard layout is immutable).
-  SetKeyOptions(KeyHandle(FindOrCreateKey(key, o.backend)), o);
-}
-
-void HistogramEngine::SetKeyOptions(const KeyHandle& handle,
-                                    const KeyOptionOverrides& o) {
-  DH_CHECK(handle.valid());
-  KeyState* state = handle.state_;
-  if (o.snapshot_every) {
-    DH_CHECK(*o.snapshot_every >= 0);
-    state->snapshot_every.store(*o.snapshot_every,
-                                std::memory_order_relaxed);
-  }
-  if (o.merged_buckets) {
-    DH_CHECK(*o.merged_buckets >= 0);
-    state->merged_buckets.store(*o.merged_buckets,
-                                std::memory_order_relaxed);
-  }
-  if (o.async_publish) {
-    state->async_publish.store(*o.async_publish, std::memory_order_relaxed);
-  }
-}
-
-EngineOptions HistogramEngine::EffectiveOptions(
-    const KeyHandle& handle) const {
-  DH_CHECK(handle.valid());
-  return EffectiveOptionsOf(*handle.state_);
-}
-
-EngineOptions HistogramEngine::EffectiveOptions(std::string_view key) const {
-  const KeyState* state = FindKey(key);
-  if (state == nullptr) return options_;
-  return EffectiveOptionsOf(*state);
-}
-
-EngineOptions HistogramEngine::EffectiveOptionsOf(
-    const KeyState& st) const {
-  EngineOptions effective = options_;
-  const KeyState* state = &st;
-  effective.kind = state->kind;
-  effective.snapshot_every =
-      state->snapshot_every.load(std::memory_order_relaxed);
-  effective.merged_buckets =
-      state->merged_buckets.load(std::memory_order_relaxed);
-  effective.async_publish =
-      state->async_publish.load(std::memory_order_relaxed);
-  return effective;
-}
-
 EngineSnapshot HistogramEngine::Publish(KeyState& state,
                                         const char* trigger) {
   return Publish(state, std::unique_lock<std::mutex>(state.publish_mu),
@@ -1049,24 +932,32 @@ EngineSnapshot HistogramEngine::Publish(
     HistogramModel model = shard->ExportModel();
     if (!model.Empty()) models.push_back(std::move(model));
   }
-  const std::uint64_t exported_ns =
-      telemetry_on_ ? trace_.NowNs() : start_ns;
+  PublishHead head;
+  head.exported_ns = telemetry_on_ ? trace_.NowNs() : start_ns;
+  HistogramModel merged =
+      state.merger.MergeAndReduce(models, options_.merged_buckets);
+  head.merged_ns = telemetry_on_ ? trace_.NowNs() : start_ns;
+  return PublishModel(state, std::move(merged), watermark, trigger, start_ns,
+                      &head);
+}
 
-  HistogramModel merged = state.merger.MergeAndReduce(
-      models, state.merged_buckets.load(std::memory_order_relaxed));
-  const std::uint64_t merged_ns =
-      telemetry_on_ ? trace_.NowNs() : start_ns;
-
+EngineSnapshot HistogramEngine::PublishModel(KeyState& state,
+                                             HistogramModel model,
+                                             std::uint64_t watermark,
+                                             const char* trigger,
+                                             std::uint64_t start_ns,
+                                             const PublishHead* head) {
   // Compile the flat query arena before the model is moved into the
   // shared state. O(pieces): ~0.3 us for a 64-bucket snapshot against
-  // ~230 us for the tree-driven sweep and SSBM reduction above (perfbench
-  // ingest medians), so the publish-latency envelope is unchanged.
-  CompiledSnapshot compiled = CompiledSnapshot::Compile(merged);
+  // ~230 us for the tree-driven sweep and SSBM reduction of a Publish
+  // (perfbench ingest medians), so the publish-latency envelope is
+  // unchanged.
+  CompiledSnapshot compiled = CompiledSnapshot::Compile(model);
 
   const std::uint64_t epoch =
       state.epoch.fetch_add(1, std::memory_order_relaxed) + 1;
   auto versioned = std::make_shared<const VersionedModel>(
-      VersionedModel{std::move(merged), epoch, watermark,
+      VersionedModel{std::move(model), epoch, watermark,
                      std::move(compiled)});
   state.published.store(versioned, std::memory_order_release);
   // Lease validation stamp, bumped strictly AFTER the pointer swap: a
@@ -1074,7 +965,12 @@ EngineSnapshot HistogramEngine::Publish(
   // (at least) this publication in `published` — the invariant the
   // thread-local lease cache's hit path rests on (snapshot_lease.h).
   state.version.fetch_add(1, std::memory_order_release);
-  state.published_at.store(watermark, std::memory_order_relaxed);
+  // Also after the swap: a queued request that sees published_at covering
+  // it is skipped, and DrainPublishes promises that the covering snapshot
+  // is already visible.
+  if (head != nullptr) {
+    state.published_at.store(watermark, std::memory_order_relaxed);
+  }
   state.counters.publishes.fetch_add(1, std::memory_order_release);
 
   const std::uint64_t end_ns = trace_.NowNs();
@@ -1086,28 +982,18 @@ EngineSnapshot HistogramEngine::Publish(
     publish_latency_hist_.Record(nanos);
     if (trace_.enabled()) {
       const char* key = state.name.c_str();
-      trace_.Record({telemetry::TraceEventKind::kFlush, key, trigger,
-                     epoch, start_ns, exported_ns - start_ns, 0});
-      trace_.Record({telemetry::TraceEventKind::kMerge, key, trigger,
-                     epoch, exported_ns, merged_ns - exported_ns, 0});
+      if (head != nullptr) {
+        trace_.Record({telemetry::TraceEventKind::kFlush, key, trigger,
+                       epoch, start_ns, head->exported_ns - start_ns, 0});
+        trace_.Record({telemetry::TraceEventKind::kMerge, key, trigger,
+                       epoch, head->exported_ns,
+                       head->merged_ns - head->exported_ns, 0});
+      }
       trace_.Record({telemetry::TraceEventKind::kPublish, key, trigger,
                      epoch, start_ns, nanos, 0});
     }
   }
   return EngineSnapshot(std::move(versioned));
-}
-
-void HistogramEngine::BackgroundLoop() {
-  const auto interval =
-      std::chrono::milliseconds(options_.background_interval_ms);
-  std::unique_lock<std::mutex> lock(background_mu_);
-  while (!stopping_) {
-    background_cv_.wait_for(lock, interval, [this] { return stopping_; });
-    if (stopping_) break;
-    lock.unlock();
-    RefreshAllInternal("background");
-    lock.lock();
-  }
 }
 
 }  // namespace dynhist::engine

@@ -8,9 +8,9 @@
 // under concurrent writers and readers:
 //
 //   writers ──hash(value)──▶ shard buffers ──batch──▶ per-shard dynamic
-//   histograms (DC/DVO/DADO behind per-shard mutexes)
+//   histograms (DC/DVO/DADO/STF behind per-shard mutexes)
 //                                   │  every snapshot_every updates, or on
-//                                   ▼  demand / background cadence
+//                                   ▼  demand (RefreshSnapshot/RefreshAll)
 //   Superimpose(shard models) ─▶ ReduceWithSsbm ─▶ Compile ─▶ immutable
 //                                   │   VersionedModel, published by atomic
 //                                   │   shared_ptr swap
@@ -21,19 +21,21 @@
 // The merge step is exactly the §8 shared-nothing machinery: each shard is
 // a "site" whose histogram covers the subset of values hashing to it, the
 // lossless superposition adds their masses, and SSBM re-partitioning
-// brings the composite back to the configured bucket budget.
+// brings the composite back to the configured bucket budget. One
+// EngineOptions configures every key of an engine; keys that need a
+// different backend, cadence or budget live in an engine of their own.
 //
 // Publication runs in one of two modes. Synchronous (the default): the
 // writer that trips a key's snapshot_every cadence performs the merge
 // inline — simple, but that writer's latency spikes by the full merge
-// cost each epoch. Asynchronous (EngineOptions::async_publish, or per key
-// via SetKeyOptions): the tripping writer enqueues a publish request on a
-// bounded queue and returns immediately; lazily-spawned merge workers
-// drain the queue, coalescing duplicate requests for one key (a request
-// is "publish the key's newest state", so N trips while one is queued
-// still cost one merge), and publish under the same per-key publish_mu
-// the sync path uses. merge_workers == 0 is manual-pump mode: the queue
-// drains only through PumpPublishes()/DrainPublishes(), which is what the
+// cost each epoch. Asynchronous (EngineOptions::async_publish): the
+// tripping writer enqueues a publish request on a bounded queue and
+// returns immediately; lazily-spawned merge workers drain the queue,
+// coalescing duplicate requests for one key (a request is "publish the
+// key's newest state", so N trips while one is queued still cost one
+// merge), and publish under the same per-key publish_mu the sync path
+// uses. merge_workers == 0 is manual-pump mode: the queue drains only
+// through PumpPublishes()/DrainPublishes(), which is what the
 // deterministic engine tests step.
 //
 // Consistency model: a snapshot merges every shard, but shards are
@@ -43,10 +45,9 @@
 // that hashed to an already-exported shard. Within one shard the applied
 // sequence is always a prefix of each producer's push order. Reads
 // between publications see the previous epoch — estimates lag the stream
-// by at most snapshot_every updates (or one background interval), and a
-// quiescent RefreshSnapshot() is exact. Deletes must refer to values
-// actually inserted for the key (the §7.3 convention: the executor
-// deletes concrete tuples).
+// by at most snapshot_every updates, and a quiescent RefreshSnapshot() is
+// exact. Deletes must refer to values actually inserted for the key (the
+// §7.3 convention: the executor deletes concrete tuples).
 
 #ifndef DYNHIST_ENGINE_HISTOGRAM_ENGINE_H_
 #define DYNHIST_ENGINE_HISTOGRAM_ENGINE_H_
@@ -222,6 +223,8 @@ class HistogramEngine {
   EngineSnapshot RefreshSnapshot(std::string_view key);
 
   /// Publishes fresh snapshots for every key with unpublished updates.
+  /// With snapshot_every == 0, calling this on a timer is the engine's
+  /// periodic refresh.
   void RefreshAll();
 
   /// Every registered key name, sorted. Cold path (shared registry
@@ -231,31 +234,16 @@ class HistogramEngine {
 
   /// Publishes `model` verbatim as `key`'s next epoch, creating the key
   /// if needed — the distributed tier's entry point: the aggregator's
-  /// merged global view enters the normal publish tail (arena compile,
-  /// epoch bump, atomic swap, lease invalidation), so readers ride the
-  /// compiled-snapshot + KeyHandle fast path with no idea the model
-  /// came off the wire. `watermark` is recorded on the snapshot
+  /// merged global view enters the same publish tail as Publish (arena
+  /// compile, epoch bump, atomic swap, lease invalidation), so readers
+  /// ride the compiled-snapshot + KeyHandle fast path with no idea the
+  /// model came off the wire. `watermark` is recorded on the snapshot
   /// verbatim (for an aggregator: the summed site watermarks).
-  /// Serializes with other publications of the key; shard buffers and
-  /// ingest counters are untouched (external keys usually have none).
+  /// Serializes with other publications of the key; shard buffers,
+  /// ingest counters and the publish cadence are untouched (external
+  /// keys usually have none).
   EngineSnapshot PublishExternal(std::string_view key, HistogramModel model,
                                  std::uint64_t watermark = 0);
-
-  /// Layers per-key overrides over the global EngineOptions for `key`
-  /// (creating the key if needed). Present fields take effect immediately
-  /// — including on the async/sync publish routing of in-flight writers;
-  /// absent fields keep their current per-key value. Thread-safe.
-  /// `backend` is the exception: it is a creation-time knob, honored
-  /// only when the string form creates the key (so set a key's backend
-  /// BEFORE its first update); on an existing key — and always through
-  /// the handle form, which implies the key exists — it is ignored.
-  void SetKeyOptions(std::string_view key, const KeyOptionOverrides& o);
-  void SetKeyOptions(const KeyHandle& handle, const KeyOptionOverrides& o);
-
-  /// The effective (global ⊕ per-key) options for `key`. Unknown keys
-  /// report the global options. Thread-safe.
-  EngineOptions EffectiveOptions(std::string_view key) const;
-  EngineOptions EffectiveOptions(const KeyHandle& handle) const;
 
   /// Runs up to `max_requests` queued publish requests on the calling
   /// thread, returning how many it ran. With merge_workers == 0 this is
@@ -306,9 +294,9 @@ class HistogramEngine {
   /// Resolves `key` to a stable handle, creating the key if needed (so a
   /// returned handle is always valid). The registry find happens here,
   /// once; queries through the handle never repeat it. The handle stays
-  /// valid across publishes, RefreshAll, and option changes, for the
-  /// engine's lifetime — it is the object a long-lived reader (or, in
-  /// the distributed tier, a server connection) holds per key.
+  /// valid across publishes and RefreshAll, for the engine's lifetime —
+  /// it is the object a long-lived reader (or, in the distributed tier, a
+  /// server connection) holds per key.
   KeyHandle Resolve(std::string_view key);
 
   /// Resolves `key` without creating it: an unknown key yields an invalid
@@ -366,10 +354,9 @@ class HistogramEngine {
   /// to the totals. Thread-safe; scrape-cost only.
   void CollectMetrics(telemetry::MetricsSnapshot* out) const;
 
-  /// CollectMetrics rendered as Prometheus text or JSON (see
+  /// CollectMetrics rendered as Prometheus text (see
   /// src/telemetry/exposition.h).
   void WriteMetricsPrometheus(std::string* out) const;
-  void WriteMetricsJson(std::string* out) const;
 
   /// Dumps the trace ring (publish/merge/flush/reject events) as a
   /// chrome://tracing JSON document. Empty trace when tracing is off.
@@ -387,14 +374,10 @@ class HistogramEngine {
   // alias keeps this class's vocabulary unchanged.
   using KeyState = internal::KeyState;
 
-  // Finds the key's state, creating it on the update path. Never returns
-  // nullptr when create is true. `backend` overrides the shard histogram
-  // kind if (and only if) this call creates the key — the
-  // KeyOptionOverrides::backend selector.
+  // Finds the key's state (nullptr when unknown), or finds it and
+  // creates it on first use (never nullptr).
   KeyState* FindKey(std::string_view key) const;
   KeyState* FindOrCreateKey(std::string_view key);
-  KeyState* FindOrCreateKey(std::string_view key,
-                            std::optional<ShardHistogramKind> backend);
 
   // Adds `state`'s counters into `*stats` (acquire loads; max fields
   // combine by max, snapshot_epoch by sum).
@@ -427,9 +410,9 @@ class HistogramEngine {
   // Settles the lease hit/miss counters for one revalidation of `state`.
   void CountLease(KeyState& state, bool hit) const;
 
-  // Global options overlaid with `state`'s per-key atomics — the shared
-  // body of both EffectiveOptions overloads.
-  EngineOptions EffectiveOptionsOf(const KeyState& state) const;
+  // Drains `state`'s shard buffers into its histograms and traces the
+  // flush: the body of Flush and FlushAll.
+  void FlushShards(KeyState& state);
 
   // Pushes one op, bumps the key's update count, and runs the publish
   // cadence; returns the key's state so the caller can settle the
@@ -454,19 +437,34 @@ class HistogramEngine {
   // under queue_mu_.
   void EnsureWorkersLocked();
 
-  // Flush + superimpose + reduce + compile + atomic publish. Returns the
+  // Flush + superimpose + reduce, then PublishModel. Returns the
   // snapshot. The second overload runs under an already-held publish
   // lock. `trigger` names what drove the publication ("sync", "async",
-  // "refresh", "background") for the trace.
+  // "refresh") for the trace.
   EngineSnapshot Publish(KeyState& state, const char* trigger);
   EngineSnapshot Publish(KeyState& state,
                          std::unique_lock<std::mutex> publish_lock,
                          const char* trigger);
 
-  // RefreshAll with the trace trigger attributed to the caller.
-  void RefreshAllInternal(const char* trigger);
+  // When Publish's export and merge stages ended, for their trace events.
+  struct PublishHead {
+    std::uint64_t exported_ns;
+    std::uint64_t merged_ns;
+  };
 
-  void BackgroundLoop();
+  // The publish tail shared by Publish and PublishExternal, run under the
+  // key's publish lock: compile `model`, bump the epoch, swap the
+  // snapshot in, bump the version, then settle counters and telemetry
+  // for a publication that began at `start_ns`. Publish passes its
+  // `head`: the key's published_at advances to `watermark` after the
+  // swap, and the flush and merge trace events precede the publish
+  // event. An external publication passes nullptr and leaves
+  // published_at, the cadence's baseline, alone.
+  EngineSnapshot PublishModel(KeyState& state, HistogramModel model,
+                              std::uint64_t watermark, const char* trigger,
+                              std::uint64_t start_ns,
+                              const PublishHead* head);
+
   void MergeWorkerLoop();
 
   const EngineOptions options_;
@@ -529,11 +527,6 @@ class HistogramEngine {
   // Set (after the join) by StopPublishWorkers: async keys fall back to
   // synchronous publication. Read outside queue_mu_ on the writer path.
   std::atomic<bool> workers_stopped_{false};
-
-  std::mutex background_mu_;
-  std::condition_variable background_cv_;
-  bool stopping_ = false;  // guarded by background_mu_
-  std::thread background_;
 };
 
 }  // namespace dynhist::engine

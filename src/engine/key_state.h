@@ -60,11 +60,6 @@ struct KeyState {
   /// metric labels reference its storage.
   const std::string name;
 
-  /// The shard histogram kind this key was created with (the global
-  /// EngineOptions::kind, or the KeyOptionOverrides::backend override at
-  /// creation). Immutable: the shard histograms already exist.
-  const ShardHistogramKind kind;
-
   std::vector<std::unique_ptr<EngineShard>> shards;
 
   /// Per-key |published estimate − actual| distribution, recorded at
@@ -88,13 +83,6 @@ struct KeyState {
   // last publication — their difference drives auto-publication.
   std::atomic<std::uint64_t> update_count{0};
   std::atomic<std::uint64_t> published_at{0};
-
-  // Effective per-key options (global defaults, then SetKeyOptions
-  // overrides). Atomics: writers consult them on every update while
-  // SetKeyOptions stores concurrently.
-  std::atomic<std::int64_t> snapshot_every;
-  std::atomic<std::int64_t> merged_buckets;
-  std::atomic<bool> async_publish;
 
   // Async publish state: `publish_pending` is true while a request for
   // this key sits in the queue — further cadence trips coalesce into it

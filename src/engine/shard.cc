@@ -16,18 +16,15 @@ std::unique_ptr<Histogram> MakeShardHistogram(const EngineOptions& options) {
   switch (options.kind) {
     case ShardHistogramKind::kDynamicCompressed:
       return std::make_unique<DynamicCompressedHistogram>(
-          DynamicCompressedConfig{.buckets = options.shard_buckets,
-                                  .alpha_min = options.alpha_min});
+          DynamicCompressedConfig{.buckets = options.shard_buckets});
     case ShardHistogramKind::kDynamicVOpt:
       return std::make_unique<DynamicVOptHistogram>(
           DynamicVOptConfig{.buckets = options.shard_buckets,
-                            .policy = DeviationPolicy::kSquared,
-                            .sub_buckets = options.sub_buckets});
+                            .policy = DeviationPolicy::kSquared});
     case ShardHistogramKind::kDynamicAdo:
       return std::make_unique<DynamicVOptHistogram>(
           DynamicVOptConfig{.buckets = options.shard_buckets,
-                            .policy = DeviationPolicy::kAbsolute,
-                            .sub_buckets = options.sub_buckets});
+                            .policy = DeviationPolicy::kAbsolute});
     case ShardHistogramKind::kStFeedback: {
       StFeedbackConfig config = options.st_feedback;
       config.buckets = options.shard_buckets;
@@ -151,7 +148,6 @@ void EngineShard::ApplyLocked(const std::vector<UpdateOp>& batch) {
       }
     }
   }
-  applied_ops_.fetch_add(batch.size(), std::memory_order_relaxed);
 }
 
 void EngineShard::CoalesceAndApply(const std::vector<UpdateOp>& batch,

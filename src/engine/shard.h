@@ -17,7 +17,6 @@
 #ifndef DYNHIST_ENGINE_SHARD_H_
 #define DYNHIST_ENGINE_SHARD_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -78,12 +77,6 @@ class EngineShard {
   /// histogram. Thread-safe (takes the buffer lock); diagnostic.
   std::size_t BufferedOps() const;
 
-  /// Operations applied to the histogram so far (excludes still-buffered
-  /// ones). Monotone; approximate ordering only.
-  std::uint64_t applied_ops() const {
-    return applied_ops_.load(std::memory_order_relaxed);
-  }
-
  private:
   // Applies `batch` under hist_mu_ (already locked by the caller's
   // std::unique_lock, passed to document the protocol). With coalescing
@@ -114,7 +107,6 @@ class EngineShard {
 
   std::mutex hist_mu_;
   std::unique_ptr<Histogram> histogram_;   // guarded by hist_mu_
-  std::atomic<std::uint64_t> applied_ops_{0};
 
   // One coalesced group: `inserts`/`deletes` operations on `value`.
   struct Group {

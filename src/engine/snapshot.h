@@ -64,8 +64,8 @@ class EngineSnapshot {
   const HistogramModel& model() const { return state_->model; }
 
   /// The flat query arena compiled at publish time, or nullptr for the
-  /// empty epoch-0 view. Exposed for the parity tests and as the
-  /// distributed tier's zero-copy wire payload.
+  /// empty epoch-0 view. Exposed for the arena-vs-piece-walk parity
+  /// tests.
   const CompiledSnapshot* compiled() const {
     return state_->compiled.attached() ? &state_->compiled : nullptr;
   }
@@ -78,25 +78,13 @@ class EngineSnapshot {
     return state_->compiled.EstimateRange(lo, hi);
   }
 
-  /// Estimated number of tuples with A = v.
+  /// Estimated number of tuples with A = v. For selectivities (result
+  /// fractions of the relation), wrap model() in a SelectivityEstimator.
   double EstimateEquals(std::int64_t v) const {
     return EstimateRange(v, v);
   }
 
-  /// The above as result fractions of the relation.
-  double SelectivityRange(std::int64_t lo, std::int64_t hi) const {
-    return Fraction(EstimateRange(lo, hi));
-  }
-  double SelectivityEquals(std::int64_t v) const {
-    return Fraction(EstimateRange(v, v));
-  }
-
  private:
-  double Fraction(double cardinality) const {
-    const double total = state_->model.TotalCount();
-    return total > 0.0 ? cardinality / total : 0.0;
-  }
-
   std::shared_ptr<const VersionedModel> state_;
 };
 

@@ -29,10 +29,10 @@ namespace dynhist {
 /// Wires one engine key's estimates back to its feedback trainer.
 class QueryFeedbackLoop {
  public:
-  /// Resolves `key` once (creating it if needed — pair with a prior
-  /// SetKeyOptions backend override to get an ST-FEEDBACK key) and holds
-  /// the handle, so the loop's steady state rides the epoch-pinned
-  /// reader fast path.
+  /// Resolves `key` once (creating it if needed — the key trains only
+  /// when the engine's EngineOptions::kind is kStFeedback) and holds the
+  /// handle, so the loop's steady state rides the epoch-pinned reader
+  /// fast path.
   QueryFeedbackLoop(engine::HistogramEngine* engine, std::string_view key)
       : engine_(engine), handle_(engine->Resolve(key)) {}
 

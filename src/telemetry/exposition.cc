@@ -62,13 +62,6 @@ void AppendLabels(std::string* out, const Labels& labels,
   out->push_back('}');
 }
 
-std::string FormatBound(double bound) {
-  if (std::isinf(bound)) return "+Inf";
-  std::string s;
-  AppendNumber(&s, bound);
-  return s;
-}
-
 struct Family {
   std::string help;
   const char* type = "untyped";
@@ -93,7 +86,8 @@ void RenderHistogram(Family* family, const HistogramSample& h) {
     cumulative += h.snapshot.counts[i];
     const double bound = h.snapshot.bucketer.UpperBound(i);
     if (std::isinf(bound)) continue;  // folded into the +Inf line below
-    const std::string le = FormatBound(bound);
+    std::string le;
+    AppendNumber(&le, bound);
     std::string line = h.name + "_bucket";
     AppendLabels(&line, h.labels, &le);
     line.push_back(' ');
@@ -118,36 +112,6 @@ void RenderHistogram(Family* family, const HistogramSample& h) {
   line.push_back(' ');
   AppendNumber(&line, static_cast<double>(h.snapshot.count));
   family->lines.push_back(std::move(line));
-}
-
-void AppendJsonString(std::string* out, const std::string& s) {
-  out->push_back('"');
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out->push_back('\\');
-      out->push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof buf, "\\u%04x", c);
-      out->append(buf);
-    } else {
-      out->push_back(c);
-    }
-  }
-  out->push_back('"');
-}
-
-void AppendJsonLabels(std::string* out, const Labels& labels) {
-  out->push_back('{');
-  bool first = true;
-  for (const auto& [k, v] : labels) {
-    if (!first) out->push_back(',');
-    first = false;
-    AppendJsonString(out, k);
-    out->push_back(':');
-    AppendJsonString(out, v);
-  }
-  out->push_back('}');
 }
 
 }  // namespace
@@ -192,64 +156,6 @@ void WritePrometheus(const MetricsSnapshot& snapshot, std::string* out) {
       out->push_back('\n');
     }
   }
-}
-
-void WriteJson(const MetricsSnapshot& snapshot, std::string* out) {
-  out->append("{\"metrics\":[");
-  bool first = true;
-  for (const MetricSample& s : snapshot.samples) {
-    if (!first) out->push_back(',');
-    first = false;
-    out->append("{\"name\":");
-    AppendJsonString(out, s.name);
-    out->append(",\"kind\":");
-    AppendJsonString(
-        out, s.kind == MetricKind::kCounter ? "counter" : "gauge");
-    out->append(",\"labels\":");
-    AppendJsonLabels(out, s.labels);
-    out->append(",\"value\":");
-    AppendNumber(out, s.value);
-    out->push_back('}');
-  }
-  out->append("],\"histograms\":[");
-  first = true;
-  for (const HistogramSample& h : snapshot.histograms) {
-    if (!first) out->push_back(',');
-    first = false;
-    out->append("{\"name\":");
-    AppendJsonString(out, h.name);
-    out->append(",\"labels\":");
-    AppendJsonLabels(out, h.labels);
-    char buf[160];
-    std::snprintf(buf, sizeof buf,
-                  ",\"count\":%llu,\"sum\":%llu,\"max\":%llu",
-                  static_cast<unsigned long long>(h.snapshot.count),
-                  static_cast<unsigned long long>(h.snapshot.sum),
-                  static_cast<unsigned long long>(h.snapshot.max));
-    out->append(buf);
-    std::snprintf(buf, sizeof buf,
-                  ",\"p50\":%.6g,\"p90\":%.6g,\"p99\":%.6g",
-                  h.snapshot.Percentile(0.50), h.snapshot.Percentile(0.90),
-                  h.snapshot.Percentile(0.99));
-    out->append(buf);
-    out->append(",\"buckets\":[");
-    bool first_bucket = true;
-    for (std::size_t i = 0; i < h.snapshot.counts.size(); ++i) {
-      if (h.snapshot.counts[i] == 0) continue;
-      if (!first_bucket) out->push_back(',');
-      first_bucket = false;
-      std::snprintf(
-          buf, sizeof buf, "{\"lo\":%llu,\"hi\":%s,\"count\":%llu}",
-          static_cast<unsigned long long>(h.snapshot.bucketer.LowerBound(i)),
-          std::isinf(h.snapshot.bucketer.UpperBound(i))
-              ? "null"
-              : FormatBound(h.snapshot.bucketer.UpperBound(i)).c_str(),
-          static_cast<unsigned long long>(h.snapshot.counts[i]));
-      out->append(buf);
-    }
-    out->append("]}");
-  }
-  out->append("]}");
 }
 
 namespace {

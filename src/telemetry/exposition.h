@@ -1,4 +1,4 @@
-// Text exposition of a MetricsSnapshot: Prometheus format and JSON.
+// Text exposition of a MetricsSnapshot in the Prometheus format.
 //
 // A MetricsSnapshot is a scrape as plain values. Nothing registers
 // instruments ahead of time: at scrape time whatever owns the state (the
@@ -11,11 +11,6 @@
 // `_sum` and `_count`. Families are emitted in sorted-name order so the
 // output is deterministic and all series of one family stay grouped
 // (which the format requires).
-//
-// WriteJson renders the same snapshot as one self-describing JSON
-// document (scalar samples plus non-cumulative histogram buckets with
-// explicit lo/hi bounds and summary percentiles) for dashboards and the
-// BENCH_*/METRICS_* artifact trail.
 //
 // SelfCheckPrometheus is a strict-enough validator for CI: it parses the
 // exposition grammar line by line and re-checks the histogram
@@ -74,9 +69,6 @@ struct MetricsSnapshot {
 
 /// Appends the Prometheus text exposition of `snapshot` to `*out`.
 void WritePrometheus(const MetricsSnapshot& snapshot, std::string* out);
-
-/// Appends the JSON exposition of `snapshot` to `*out`.
-void WriteJson(const MetricsSnapshot& snapshot, std::string* out);
 
 /// Validates Prometheus exposition text. Returns true when `text`
 /// parses and every histogram invariant holds; otherwise returns false

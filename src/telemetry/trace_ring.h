@@ -38,7 +38,7 @@ enum class TraceEventKind : std::uint8_t {
 struct TraceEvent {
   TraceEventKind kind = TraceEventKind::kPublish;
   const char* key = "";      ///< histogram key the event concerns
-  const char* trigger = "";  ///< "sync", "async", "refresh", "background",
+  const char* trigger = "";  ///< "sync", "async", "refresh", "external",
                              ///< "manual" (explicit Flush/FlushAll)
   std::uint64_t epoch = 0;   ///< published epoch (0 when n/a)
   std::uint64_t start_ns = 0;     ///< offset from ring creation

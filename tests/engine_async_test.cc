@@ -5,8 +5,8 @@
 // synchronizes through joins and condition-variable waits. No test uses
 // sleep-based synchronization, so the suite is deterministic run to run:
 // request coalescing, no-lost-epoch drain semantics, stop-while-queued
-// behavior, per-key option overrides, and the EngineStats contract are
-// all pinned exactly, not probabilistically.
+// behavior, and the EngineStats contract are all pinned exactly, not
+// probabilistically.
 
 #include "src/engine/histogram_engine.h"
 
@@ -231,77 +231,6 @@ TEST(EngineAsyncTest, DrainPublishesWaitsForWorkerCompletion) {
   EXPECT_EQ(snapshot.epoch(), 1u);
   EXPECT_EQ(snapshot.watermark(), 100u);
   EXPECT_DOUBLE_EQ(snapshot.TotalCount(), 100.0);
-}
-
-TEST(EngineAsyncTest, PerKeySnapshotCadenceOverridesGlobal) {
-  EngineOptions options;
-  options.shards = 4;
-  options.batch_size = 1;
-  options.snapshot_every = 0;  // global: never auto-publish
-  HistogramEngine engine(options);
-  engine.SetKeyOptions("hot", {.snapshot_every = 50});
-
-  for (std::int64_t i = 0; i < 60; ++i) {
-    engine.Insert("hot", i % kDomain);
-    engine.Insert("cold", i % kDomain);
-  }
-  EXPECT_GE(engine.Snapshot("hot").epoch(), 1u);   // override cadence fired
-  EXPECT_EQ(engine.Snapshot("cold").epoch(), 0u);  // global 0 still holds
-  EXPECT_EQ(engine.EffectiveOptions("hot").snapshot_every, 50);
-  EXPECT_EQ(engine.EffectiveOptions("cold").snapshot_every, 0);
-}
-
-TEST(EngineAsyncTest, PerKeyMergedBucketsOverrideGlobal) {
-  EngineOptions options;
-  options.shards = 4;
-  options.batch_size = 1;
-  options.snapshot_every = 0;
-  options.kind = ShardHistogramKind::kDynamicCompressed;
-  options.merged_buckets = 64;
-  HistogramEngine engine(options);
-  engine.SetKeyOptions("small", {.merged_buckets = 8});
-
-  const auto values = ZipfValues(5'000, /*seed=*/61);
-  for (const std::int64_t v : values) {
-    engine.Insert("small", v);
-    engine.Insert("wide", v);
-  }
-  const EngineSnapshot small = engine.RefreshSnapshot("small");
-  const EngineSnapshot wide = engine.RefreshSnapshot("wide");
-
-  EXPECT_LE(small.model().NumBuckets(), 8u);
-  EXPECT_GT(wide.model().NumBuckets(), 8u);
-  EXPECT_DOUBLE_EQ(small.TotalCount(), wide.TotalCount());
-}
-
-TEST(EngineAsyncTest, PerKeyAsyncOverridesGlobalSyncAndViceVersa) {
-  EngineOptions options;
-  options.shards = 4;
-  options.batch_size = 1;
-  options.snapshot_every = 100;
-  options.async_publish = false;  // global: synchronous
-  options.merge_workers = 0;      // any async key is manually pumped
-  HistogramEngine engine(options);
-  engine.SetKeyOptions("lazy", {.async_publish = true});
-
-  for (std::int64_t i = 0; i < 150; ++i) {
-    engine.Insert("eager", i % kDomain);
-    engine.Insert("lazy", i % kDomain);
-  }
-  // The sync key published inline at its trip; the async-override key
-  // only queued a request.
-  EXPECT_EQ(engine.Snapshot("eager").epoch(), 1u);
-  EXPECT_EQ(engine.Snapshot("lazy").epoch(), 0u);
-  EXPECT_EQ(engine.PublishQueueDepth(), 1u);
-  EXPECT_EQ(engine.PumpPublishes(), 1u);
-  EXPECT_EQ(engine.Snapshot("lazy").epoch(), 1u);
-  EXPECT_EQ(engine.Snapshot("lazy").watermark(), 150u);
-
-  // And back: flipping the key to sync re-enables inline publication.
-  engine.SetKeyOptions("lazy", {.async_publish = false});
-  for (std::int64_t i = 0; i < 100; ++i) engine.Insert("lazy", i % kDomain);
-  EXPECT_EQ(engine.Snapshot("lazy").epoch(), 2u);
-  EXPECT_EQ(engine.PublishQueueDepth(), 0u);
 }
 
 TEST(EngineAsyncTest, FullQueueRejectsRequestAndKeyRetriesLater) {

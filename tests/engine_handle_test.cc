@@ -90,13 +90,11 @@ TEST(EngineHandleTest, LeaseRevalidatesImmediatelyOnPublish) {
   EXPECT_EQ(engine.LeasedSnapshot(h).epoch(), 2u);
 }
 
-// Handles stay valid across publishes, RefreshAll, and option flips, and
-// answer bit-identically to the string-keyed path at every epoch.
+// Handles stay valid across publishes and RefreshAll, and answer
+// bit-identically to the string-keyed path at every epoch.
 TEST(EngineHandleTest, HandleSurvivesPublishesAndRefreshAll) {
   HistogramEngine engine(TestOptions());
   const KeyHandle h = engine.Resolve(kKey);
-  engine.SetKeyOptions(h, {.merged_buckets = 32});
-  EXPECT_EQ(engine.EffectiveOptions(h).merged_buckets, 32);
 
   Rng rng(7);
   for (int epoch = 1; epoch <= 10; ++epoch) {

@@ -186,14 +186,6 @@ TEST(ExpositionTest, PrometheusOutputPassesSelfCheck) {
   EXPECT_NE(text.find("fixture_latency_ns_sum 48"), std::string::npos);
 }
 
-TEST(ExpositionTest, JsonOutputContainsSamplesAndPercentiles) {
-  std::string json;
-  WriteJson(MakeExpositionFixture(), &json);
-  EXPECT_NE(json.find("\"fixture_ops_total\""), std::string::npos);
-  EXPECT_NE(json.find("\"p99\""), std::string::npos);
-  EXPECT_NE(json.find("\"count\":3"), std::string::npos);
-}
-
 TEST(ExpositionTest, SelfCheckRejectsBrokenOutput) {
   std::string error;
   // A sample with no TYPE header for its family.
