@@ -31,27 +31,6 @@ constexpr char kMagic[4] = {'D', 'H', 'F', '1'};
 constexpr std::size_t kEpochOffset = 16;
 constexpr std::size_t kWatermarkOffset = 24;
 
-// Shared by both EncodeFrame overloads: the header through the key,
-// leaving the caller to append borders, rows, and the checksum.
-std::string EncodeHead(const FrameHeader& header, std::size_t pieces,
-                       double total) {
-  std::string out;
-  out.reserve(FrameBytesFor(header.key.size(), pieces));
-  out.append(kMagic, 4);
-  PutU32(&out, header.site_id);
-  PutU32(&out, static_cast<std::uint32_t>(header.key.size()));
-  PutU32(&out, static_cast<std::uint32_t>(pieces));
-  PutU64(&out, header.epoch);
-  PutU64(&out, header.watermark);
-  PutF64(&out, total);
-  out.append(header.key);
-  return out;
-}
-
-void SealFrame(std::string* out) {
-  PutU64(out, frame_internal::Fnv1a64(out->data(), out->size()));
-}
-
 }  // namespace
 
 namespace frame_internal {
@@ -110,13 +89,21 @@ std::string EncodeFrame(const FrameHeader& header,
                         const HistogramModel& model) {
   // Emits exactly what CompiledSnapshot::Compile(model) holds: widths by
   // the same `right - left` subtraction, prefixes accumulated in model
-  // order, and the {max_border, 0, 1, total} sentinel — so this overload
-  // and the arena overload are byte-identical for one model.
+  // order, and the {max_border, 0, 1, total} sentinel.
   const std::vector<HistogramModel::Piece>& pieces = model.pieces();
   const std::size_t n = pieces.size();
   double acc = 0.0;
   for (const HistogramModel::Piece& p : pieces) acc += p.count;
-  std::string out = EncodeHead(header, n, acc);
+  std::string out;
+  out.reserve(FrameBytesFor(header.key.size(), n));
+  out.append(kMagic, 4);
+  PutU32(&out, header.site_id);
+  PutU32(&out, static_cast<std::uint32_t>(header.key.size()));
+  PutU32(&out, static_cast<std::uint32_t>(n));
+  PutU64(&out, header.epoch);
+  PutU64(&out, header.watermark);
+  PutF64(&out, acc);
+  out.append(header.key);
   for (const HistogramModel::Piece& p : pieces) PutF64(&out, p.right);
   acc = 0.0;
   for (const HistogramModel::Piece& p : pieces) {
@@ -130,25 +117,7 @@ std::string EncodeFrame(const FrameHeader& header,
   PutF64(&out, 0.0);
   PutF64(&out, 1.0);
   PutF64(&out, acc);
-  SealFrame(&out);
-  return out;
-}
-
-std::string EncodeFrame(const FrameHeader& header,
-                        const CompiledSnapshot& snapshot) {
-  if (!snapshot.attached()) return EncodeFrame(header, HistogramModel());
-  const std::size_t n = snapshot.NumPieces();
-  std::string out = EncodeHead(header, n, snapshot.TotalCount());
-  const double* borders = snapshot.borders();
-  const CompiledSnapshot::Row* rows = snapshot.rows();
-  for (std::size_t i = 0; i < n; ++i) PutF64(&out, borders[i]);
-  for (std::size_t i = 0; i <= n; ++i) {
-    PutF64(&out, rows[i].left);
-    PutF64(&out, rows[i].count);
-    PutF64(&out, rows[i].width);
-    PutF64(&out, rows[i].prefix);
-  }
-  SealFrame(&out);
+  PutU64(&out, frame_internal::Fnv1a64(out.data(), out.size()));
   return out;
 }
 

@@ -50,7 +50,6 @@
 #include <string_view>
 #include <vector>
 
-#include "src/histogram/compiled_snapshot.h"
 #include "src/histogram/model.h"
 
 namespace dynhist::distributed {
@@ -113,16 +112,11 @@ constexpr std::size_t FrameBytesFor(std::size_t key_len,
 
 /// Encodes `model` under `header`. The payload arrays are exactly what
 /// CompiledSnapshot::Compile(model) would hold (same subtraction for
-/// widths, prefix masses accumulated in model order), so both overloads
-/// produce identical bytes for one model.
+/// widths, prefix masses accumulated in model order). An empty model
+/// encodes as a zero-piece, zero-mass frame; to ship a published
+/// snapshot, encode its model().
 std::string EncodeFrame(const FrameHeader& header,
                         const HistogramModel& model);
-
-/// Encodes an already-compiled snapshot — the zero-copy path: the
-/// borders()/rows() arrays are written out as-is. An absent snapshot
-/// encodes as an empty (zero-piece, zero-mass) frame.
-std::string EncodeFrame(const FrameHeader& header,
-                        const CompiledSnapshot& snapshot);
 
 /// Validates and decodes `bytes` into `*out`. On any error `*out` is
 /// left in an unspecified-but-valid state and the typed reason is

@@ -20,8 +20,8 @@
 // layout follows the tree-like bucket-index form (arXiv cs/0501020) in
 // its flattened two-array shape, and matches the contiguous
 // border/cumulative-mass serialization of HistogramTools
-// (arXiv 2504.00001) — `borders()`/`rows()` expose the arrays so the
-// distributed tier can ship them as its zero-copy wire payload.
+// (arXiv 2504.00001): the distributed tier's frames carry exactly these
+// arrays, encoded from the model with the same arithmetic.
 //
 // Parity contract: every query is computed with the exact arithmetic of
 // HistogramModel::CdfMass — the same subtraction for widths, the same
@@ -128,9 +128,9 @@ class CompiledSnapshot {
   /// Estimated points with value exactly v.
   double EstimatePoint(std::int64_t v) const { return EstimateRange(v, v); }
 
-  /// Zero-copy views of the arena (wire-format seed for the distributed
-  /// tier): `borders()` is the n ascending right borders the search runs
-  /// over, `rows()` the n + 1 payload rows. Null when absent.
+  /// Read-only views of the arena: `borders()` is the n ascending right
+  /// borders the search runs over, `rows()` the n + 1 payload rows. Null
+  /// when absent.
   const double* borders() const { return rights_; }
   const Row* rows() const { return rows_; }
 

@@ -19,7 +19,6 @@
 #include "src/common/rng.h"
 #include "src/common/zipf.h"
 #include "src/distributed/frame.h"
-#include "src/histogram/compiled_snapshot.h"
 #include "src/histogram/dynamic_compressed.h"
 #include "src/histogram/histogram.h"
 #include "src/histogram/model.h"
@@ -99,13 +98,6 @@ TEST(FrameCodecTest, RoundTripsModelBitForBit) {
   EXPECT_EQ(EncodeFrame(decoded.header, rebuilt), frame);
 }
 
-TEST(FrameCodecTest, ModelAndCompiledOverloadsAgreeByteForByte) {
-  const HistogramModel model = SampleModel();
-  const CompiledSnapshot compiled = CompiledSnapshot::Compile(model);
-  EXPECT_EQ(EncodeFrame(TestHeader(), model),
-            EncodeFrame(TestHeader(), compiled));
-}
-
 TEST(FrameCodecTest, EmptyModelRoundTrips) {
   const std::string frame = EncodeFrame(TestHeader(), HistogramModel());
   DecodedFrame decoded;
@@ -113,9 +105,6 @@ TEST(FrameCodecTest, EmptyModelRoundTrips) {
   EXPECT_TRUE(decoded.pieces.empty());
   EXPECT_EQ(decoded.total, 0.0);
   EXPECT_TRUE(decoded.ToModel().Empty());
-  // An absent CompiledSnapshot (never-published key) also encodes as
-  // the empty frame.
-  EXPECT_EQ(EncodeFrame(TestHeader(), CompiledSnapshot()), frame);
 }
 
 TEST(FrameCodecTest, RejectsTruncationAtEveryLength) {
