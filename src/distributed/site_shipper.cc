@@ -22,14 +22,14 @@ std::size_t SiteShipper::Ship(const Sink& sink, bool force) {
     header.key = key;
     header.epoch = snap.epoch();
     header.watermark = snap.watermark();
-    // Encoding the model or the snapshot's compiled arena yields
-    // byte-identical frames.
     const std::string frame = EncodeFrame(header, snap.model());
+    // Only an accepted frame counts as shipped: a rejected key keeps its
+    // old epoch, so the next round offers it again.
+    if (!sink(frame)) break;
     if (last < snap.epoch()) last = snap.epoch();
     ++frames_shipped_;
     bytes_shipped_ += frame.size();
     ++shipped;
-    if (!sink(frame)) break;
   }
   return shipped;
 }

@@ -31,7 +31,8 @@ namespace dynhist::distributed {
 class SiteShipper {
  public:
   /// Receives one encoded frame; returns false to abort the round
-  /// (e.g. the connection died — the un-shipped keys stay pending).
+  /// (e.g. the connection died — the rejected key and the un-shipped
+  /// ones stay pending).
   using Sink = std::function<bool(std::string_view frame)>;
 
   /// `engine` must outlive the shipper. `site_id` stamps every frame.
@@ -41,7 +42,8 @@ class SiteShipper {
   /// Ships every key whose published epoch advanced past the last
   /// shipped one (all published keys when `force`). Never-published
   /// keys (epoch 0) are always skipped — there is nothing to say.
-  /// Returns the number of frames handed to `sink`.
+  /// Returns the number of frames `sink` accepted; frames_shipped() and
+  /// bytes_shipped() count those frames only.
   std::size_t Ship(const Sink& sink, bool force = false);
 
   std::uint32_t site_id() const { return site_id_; }
