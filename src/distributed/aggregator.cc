@@ -11,8 +11,11 @@ engine::EngineOptions GlobalViewDefaults() {
   engine::EngineOptions o;
   // Nothing flows through this engine's shards: the aggregator
   // publishes externally, so ingest cadence and async machinery are
-  // dead weight. Compilation stays on — the whole point is that global
-  // queries ride the arena fast path.
+  // dead weight. One shard per key is enough: a key builds every shard's
+  // histogram at creation, and 8 empty DADO shards nearly double the
+  // memory of a key holding one 64-piece view. Compilation stays on —
+  // the whole point is that global queries ride the arena fast path.
+  o.shards = 1;
   o.snapshot_every = 0;
   o.async_publish = false;
   o.merge_workers = 0;

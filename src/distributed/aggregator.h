@@ -50,9 +50,10 @@ class Aggregator {
     /// unreduced composite).
     std::int64_t merged_buckets = 64;
 
-    /// Options of the global-view engine. Defaults disable ingest-side
-    /// cadence (the aggregator publishes externally; nothing flows
-    /// through shards).
+    /// Options of the global-view engine. The aggregator publishes
+    /// through PublishExternal and nothing flows through shards, so the
+    /// defaults give each key one shard and disable ingest-side cadence
+    /// and async publication.
     engine::EngineOptions engine;
 
     Options();
