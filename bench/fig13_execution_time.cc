@@ -1,8 +1,8 @@
 // Fig. 13: typical execution times vs memory.
 // Fixed: S = 1, Z = 1, SD = 1, C = 200. X axis: memory 0.1 .. 0.5 KB.
-// Series: SVO construction, SSBM construction (paper-style quadratic scan
-// and our tournament-tree variant), SC construction, DADO full-stream
-// maintenance.
+// Series: SVO construction, SSBM construction (paper-style quadratic scan,
+// and the default: batched rounds of forced merges with a tournament-tree
+// tail), SC construction, DADO full-stream maintenance.
 //
 // Substitution note (DESIGN.md §4): the paper's SVO search is exponential
 // and took ~70-80 s; our exact DP is polynomial, so absolute times are far
@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
   using namespace dynhist;
   using namespace dynhist::bench;
   const Options options = Options::FromArgs(argc, argv);
-  const std::vector<std::string> series = {"SVO", "SSBM-quad", "SSBM-tree",
+  const std::vector<std::string> series = {"SVO", "SSBM-quad", "SSBM-rounds",
                                            "SC", "DADO"};
   RunSweep(
       "Fig. 13 — execution time [s] vs memory [KB] (C = 200)", "Memory[KB]",

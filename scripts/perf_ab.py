@@ -7,6 +7,7 @@ Usage (from the repository root):
         --claim visible_p50_us
     python3 scripts/perf_ab.py --base main --change my-branch \\
         --workload serve --seed 101 --pairs 5 --seconds 10
+    python3 scripts/perf_ab.py --base HEAD --workload ingest --trace
     python3 scripts/perf_ab.py --self-test
 
 The base side is REF checked out with `git worktree` under --workdir
@@ -34,6 +35,12 @@ change won, and a verdict:
   worse          the change's median is worse than the base's by more than
                  the bound (as a share of the base median);
   ok             otherwise.
+
+With --trace every run is a traced run (--trace 1), and the report covers
+BENCHMARK.json's per-layer metrics instead: each side's median and
+quartiles, the change's delta and its wins, and no verdict, since the
+per-layer metrics carry no bounds. A traced run spends at most 10 s on
+its passes, whatever --seconds says.
 
 A run that exits nonzero, prints no JSON result, reports `correct` false, or
 reports more `failed` operations than the other run of its pair fails the
@@ -77,12 +84,25 @@ def change_wins(spec, base, change):
     return sum(1 for b, c in zip(base, change) if (c < b if lower else c > b))
 
 
+def summarize(spec, base, change):
+    """Quartiles, wins and delta of one metric over paired runs, with no
+    verdict (the per-layer metrics have no bounds)."""
+    b_q1, b_med, b_q3 = quartiles(base)
+    c_q1, c_med, c_q3 = quartiles(change)
+    return {"name": spec["name"], "base": (b_q1, b_med, b_q3),
+            "change": (c_q1, c_med, c_q3),
+            "wins": change_wins(spec, base, change), "pairs": len(base),
+            "delta": (c_med - b_med) / b_med if b_med else math.nan,
+            "verdict": None}
+
+
 def verdict(spec, base, change, claimed):
     """Summary of one metric over paired runs; `claimed` marks the claim."""
     lower = spec["better"] == "lower"
-    b_q1, b_med, b_q3 = quartiles(base)
-    c_q1, c_med, c_q3 = quartiles(change)
-    wins = change_wins(spec, base, change)
+    summary = summarize(spec, base, change)
+    b_q1, b_med, b_q3 = summary["base"]
+    c_med = summary["change"][1]
+    wins = summary["wins"]
     base_iqr = b_q3 - b_q1
     # Positive when the change is worse, as a share of the base median.
     worse_by = (c_med - b_med) if lower else (b_med - c_med)
@@ -101,10 +121,8 @@ def verdict(spec, base, change, claimed):
         label = "worse"
     else:
         label = "ok"
-    return {"name": spec["name"], "base": (b_q1, b_med, b_q3),
-            "change": (c_q1, c_med, c_q3), "wins": wins, "pairs": len(base),
-            "delta": (c_med - b_med) / b_med if b_med else math.nan,
-            "verdict": label}
+    summary["verdict"] = label
+    return summary
 
 
 def run_failures(pairs):
@@ -127,18 +145,18 @@ def run_failures(pairs):
 
 def passed(summaries, problems):
     return not problems and all(
-        s["verdict"] in ("ok", "met") for s in summaries)
+        s["verdict"] in (None, "ok", "met") for s in summaries)
 
 
 def format_report(summaries, problems):
-    lines = ["%-18s %30s %30s %7s %6s  %s" % (
+    lines = ["%-28s %30s %30s %7s %6s  %s" % (
         "metric", "base q1/median/q3", "change q1/median/q3", "delta",
         "wins", "verdict")]
     for s in summaries:
-        lines.append("%-18s %30s %30s %+6.1f%% %3d/%-2d  %s" % (
+        lines.append("%-28s %30s %30s %+6.1f%% %3d/%-2d  %s" % (
             s["name"], "%.4g / %.4g / %.4g" % s["base"],
             "%.4g / %.4g / %.4g" % s["change"], 100.0 * s["delta"],
-            s["wins"], s["pairs"], s["verdict"]))
+            s["wins"], s["pairs"], s["verdict"] or "-"))
     lines.extend("FAILED RUN: " + p for p in problems)
     lines.append("perf_ab: %s" % ("pass" if passed(summaries, problems)
                                    else "FAIL"))
@@ -172,10 +190,15 @@ def worktree(ref, workdir):
     return path
 
 
+def bench_command(bench, args, seconds):
+    return bench["command"] + ["--workload", args.workload,
+                               "--seed", str(args.seed),
+                               "--seconds", str(seconds),
+                               "--trace", "1" if args.trace else "0"]
+
+
 def run_once(bench, side_dir, args, seconds):
-    cmd = bench["command"] + ["--workload", args.workload,
-                              "--seed", str(args.seed),
-                              "--seconds", str(seconds), "--trace", "0"]
+    cmd = bench_command(bench, args, seconds)
     done = subprocess.run(cmd, cwd=side_dir, capture_output=True, text=True)
     lines = done.stdout.strip().splitlines()
     if done.returncode != 0 or not lines:
@@ -213,16 +236,19 @@ def compare(args):
 
     problems = run_failures(pairs)
     summaries = []
-    for spec in bench["end_to_end"]:
+    for spec in bench["per_layer" if args.trace else "end_to_end"]:
         name = spec["name"]
         both = [(b["metrics"][name]["value"], c["metrics"][name]["value"])
                 for b, c in pairs
                 if b and c and name in b["metrics"] and name in c["metrics"]]
         if len(both) >= 2:
             base, change = (list(side) for side in zip(*both))
-            summaries.append(verdict(spec, base, change, name == args.claim))
-    print("%s seed %d, %d pairs of %d s" % (args.workload, args.seed,
-                                            args.pairs, args.seconds))
+            summaries.append(summarize(spec, base, change) if args.trace
+                             else verdict(spec, base, change,
+                                          name == args.claim))
+    print("%s seed %d, %d %spairs of %d s" % (
+        args.workload, args.seed, args.pairs,
+        "traced " if args.trace else "", args.seconds))
     print(format_report(summaries, problems))
     return 0 if passed(summaries, problems) else 1
 
@@ -273,6 +299,27 @@ def self_test():
            == "ok", "a wide base spread is ok when every change run is "
            "better than every base run")
 
+    layer = {"name": "distributed.reduce_us", "better": "lower"}
+    traced = summarize(layer, base, faster)
+    expect(traced["verdict"] is None and traced["wins"] == 10
+           and traced["base"] == quartiles(base)
+           and traced["change"] == quartiles(faster),
+           "a per-layer summary has quartiles and wins but no verdict")
+    report = format_report([traced], [])
+    row = report.splitlines()[1].split()
+    expect(row[0] == "distributed.reduce_us" and row[-1] == "-"
+           and report.endswith("perf_ab: pass"),
+           "a traced report passes without verdicts")
+    expect(not passed([traced], ["x"]),
+           "a failed traced run fails the comparison")
+    bench = {"command": ["python3", "perfbench/run.py"]}
+    args = argparse.Namespace(workload="ingest", seed=1, trace=True)
+    expect(bench_command(bench, args, 30)[-2:] == ["--trace", "1"],
+           "--trace runs traced passes")
+    args.trace = False
+    expect(bench_command(bench, args, 30)[-2:] == ["--trace", "0"],
+           "the default runs untraced passes")
+
     good = {"correct": True, "failed": 0, "metrics": {}}
     expect(run_failures([(good, good)]) == [], "clean pairs pass")
     expect(len(run_failures([(good, dict(good, correct=False))])) == 1,
@@ -305,6 +352,9 @@ def main():
                         help="default: BENCHMARK.json's run_seconds")
     parser.add_argument("--claim", help="end-to-end metric the change "
                                         "claims to improve")
+    parser.add_argument("--trace", action="store_true",
+                        help="run traced passes and report the per-layer "
+                             "metrics (no verdicts)")
     parser.add_argument("--workdir", default=os.path.join(ROOT, ".perf_ab"),
                         help="where the worktrees live (default .perf_ab/)")
     parser.add_argument("--self-test", action="store_true",
@@ -321,6 +371,8 @@ def main():
     if args.claim and args.claim not in [m["name"]
                                          for m in bench["end_to_end"]]:
         parser.error("--claim must name an end-to-end metric")
+    if args.claim and args.trace:
+        parser.error("--claim needs untraced runs; drop --trace")
     if args.pairs < 2:
         parser.error("--pairs must be at least 2")
     if args.seconds is None:

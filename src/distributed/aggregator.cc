@@ -1,5 +1,6 @@
 #include "src/distributed/aggregator.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "src/telemetry/exposition.h"
@@ -67,35 +68,34 @@ Aggregator::IngestResult Aggregator::Ingest(std::string_view frame_bytes,
   site.last_frame_ns = NowNs();
 
   KeyEntry& entry = keys_[decoded.header.key];
-  auto [slot_it, inserted] =
-      entry.sites.try_emplace(decoded.header.site_id);
-  SiteSlot& slot = slot_it->second;
-  if (!inserted && decoded.header.watermark <= slot.watermark) {
+  const std::uint32_t site_id = decoded.header.site_id;
+  const auto it = std::lower_bound(
+      entry.sites.begin(), entry.sites.end(), site_id,
+      [](const SiteMark& mark, std::uint32_t id) { return mark.site_id < id; });
+  const auto index = static_cast<std::size_t>(it - entry.sites.begin());
+  if (it == entry.sites.end() || it->site_id != site_id) {
+    entry.sites.insert(it, SiteMark{site_id, 0});
+    entry.models.insert(entry.models.begin() + index, HistogramModel());
+  } else if (decoded.header.watermark <= it->watermark) {
     // Max-watermark idempotence: re-sends and reordered stale frames
     // never reach the merge path.
     frames_duplicate_.fetch_add(1);
     ++site.frames_duplicate;
     return IngestResult::kDuplicate;
   }
-  slot.epoch = decoded.header.epoch;
-  slot.watermark = decoded.header.watermark;
-  slot.model = decoded.ToModel();
+  entry.sites[index].watermark = decoded.header.watermark;
+  entry.models[index] = decoded.ToModel();
   frames_applied_.fetch_add(1);
   ++site.frames_applied;
 
   // Re-merge every site's latest model for this key — k sites through
-  // the same sweep + SSBM reduction k shards take — and republish the
-  // global view. The global watermark is the summed site watermarks:
-  // "site updates this view covers".
-  std::vector<HistogramModel>& models = entry.scratch;
-  models.clear();
+  // the same sweep + SSBM reduction k shards take (the sweep skips empty
+  // models) — and republish the global view. The global watermark is the
+  // summed site watermarks: "site updates this view covers".
   std::uint64_t watermark = 0;
-  for (const auto& [site_id, s] : entry.sites) {
-    watermark += s.watermark;
-    if (!s.model.Empty()) models.push_back(s.model);
-  }
+  for (const SiteMark& mark : entry.sites) watermark += mark.watermark;
   HistogramModel merged =
-      entry.merger.MergeAndReduce(models, options_.merged_buckets);
+      entry.merger.MergeAndReduce(entry.models, options_.merged_buckets);
   merges_.fetch_add(1);
   engine_.PublishExternal(decoded.header.key, std::move(merged), watermark);
   return IngestResult::kApplied;

@@ -102,19 +102,20 @@ class Aggregator {
   void WriteMetricsPrometheus(std::string* out) const;
 
  private:
-  // One site's latest accepted state for one key.
-  struct SiteSlot {
-    std::uint64_t epoch = 0;
+  // One site's latest accepted watermark for one key.
+  struct SiteMark {
+    std::uint32_t site_id = 0;
     std::uint64_t watermark = 0;
-    HistogramModel model;
   };
 
-  // Per-key merge state. std::map keeps sites in ascending id order —
-  // the deterministic merge-input order the bit-identical contract
-  // (and the loopback test's in-process replica) depends on.
+  // Per-key merge state: the sites in ascending id order — the
+  // deterministic merge-input order the bit-identical contract (and the
+  // loopback test's in-process replica) depends on — and models[i], the
+  // latest model of sites[i]. The merge reads the models where they are,
+  // so each (key, site) model is held once.
   struct KeyEntry {
-    std::map<std::uint32_t, SiteSlot> sites;
-    std::vector<HistogramModel> scratch;
+    std::vector<SiteMark> sites;
+    std::vector<HistogramModel> models;
     SnapshotMerger merger;
   };
 

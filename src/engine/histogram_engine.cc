@@ -948,10 +948,9 @@ EngineSnapshot HistogramEngine::PublishModel(KeyState& state,
                                              std::uint64_t start_ns,
                                              const PublishHead* head) {
   // Compile the flat query arena before the model is moved into the
-  // shared state. O(pieces): ~0.3 us for a 64-bucket snapshot against
-  // ~230 us for the tree-driven sweep and SSBM reduction of a Publish
-  // (perfbench ingest medians), so the publish-latency envelope is
-  // unchanged.
+  // shared state. O(pieces): ~0.4 us for a 64-bucket snapshot against
+  // ~155 us for the sweep and SSBM reduction of a Publish (perfbench
+  // ingest medians), so the publish-latency envelope is unchanged.
   CompiledSnapshot compiled = CompiledSnapshot::Compile(model);
 
   const std::uint64_t epoch =

@@ -116,7 +116,9 @@ struct KeyState {
   // Publish-path scratch reused across epochs (guarded by publish_mu):
   // the vector that holds the exported shard models, and the merger's
   // sweep and slice buffers. Each export still allocates its model's
-  // pieces, and each reduction its SSBM bucket array and pair tree.
+  // pieces, and each reduction its SSBM scratch (bucket, key, pick and
+  // selection arrays, and the tail's pair tree), per call rather than per
+  // key so that idle keys hold none of it.
   std::vector<HistogramModel> model_scratch;
   SnapshotMerger merger;
 };

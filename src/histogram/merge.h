@@ -12,13 +12,14 @@
 // over the inputs' pieces, taking the next border from a tournament tree
 // (tournament_tree.h) with one slot per input (O(total pieces * log
 // sites)), and the SSBM reduction consumes the composite's pieces directly
-// as weighted slices. SSBM seeds a second tournament tree with the pair
-// keys in O(pieces), then repairs three tree slots per merge in
-// O(log pieces) each — publish cost scales with bucket counts, never with
-// the attribute domain. Measured on the perfbench ingest workload (8 DADO
-// shards x 64 buckets, an ~820-piece composite), medians: loaded publish
-// ~335 us, of which merge ~230 us; unloaded sweep ~50 us and reduce
-// ~115-135 us.
+// as weighted slices. SSBM makes most of its merges in batched O(pieces)
+// rounds of provably forced merges (ssbm.h), then finishes the tail on a
+// second tournament tree, repairing three slots per merge in
+// O(log pieces) — publish cost scales with bucket counts, never with the
+// attribute domain. Measured on the perfbench ingest workload (8 DADO
+// shards x 64 buckets, an ~820-piece composite), traced medians: loaded
+// publish ~265 us, of which merge ~155 us; unloaded sweep ~47 us and
+// reduce ~57 us.
 
 #ifndef DYNHIST_HISTOGRAM_MERGE_H_
 #define DYNHIST_HISTOGRAM_MERGE_H_
@@ -51,8 +52,9 @@ HistogramModel ReduceWithSsbm(const HistogramModel& model,
 /// Reusable merge pipeline: superimpose + optional SSBM reduction. The
 /// sweep's buffers (cursors, border tree, composite pieces, reduction
 /// slices) are retained across calls; each call still allocates SSBM's
-/// bucket array and pair tree and the returned model's vectors. Not
-/// thread-safe; the engine keeps one per key under its publish lock.
+/// scratch (bucket, key, pick and selection arrays, and the tail's pair
+/// tree) and the returned model's vectors. Not thread-safe; the engine
+/// keeps one per key under its publish lock.
 class SnapshotMerger {
  public:
   /// Lossless superposition (same result as the free Superimpose).

@@ -6,11 +6,18 @@
 // most similar buckets first" — until only the requested number of buckets
 // remains. The paper reports SSBM quality comparable to V-Optimal at a
 // fraction of the construction cost. The paper's selection rescans every
-// pair per merge (O(D^2)); ours keeps the pair keys in a tournament tree
+// pair per merge (O(D^2)). Ours keeps the pair keys in a tournament tree
 // (tournament_tree.h) and replays the O(log D) matches above the three
-// pair slots a merge changes, O(D log D) in all. Among equal keys both
-// take the leftmost pair, so they merge the same pairs in the same order
-// and build bit-identical histograms, ties included.
+// pair slots a merge changes, O(D log D) in all; among equal keys both
+// take the leftmost pair, so they build bit-identical histograms, ties
+// included. Under the default options (kSquared, kMergedDeviation) the
+// tree only finishes the tail: first, batched rounds of O(live) passes
+// over the live buckets merge at once every pair the rule provably merges
+// with its current key (a local minimum by more than twice a proven
+// floating-point error bound, and below the key that M merges cannot
+// reach), which leaves the partition unchanged bit for bit. On the
+// engine's ~835-slice composites the rounds make about 95% of the merges.
+// kAbsolute, kDeviationIncrease and use_quadratic_scan take no rounds.
 
 #ifndef DYNHIST_HISTOGRAM_SSBM_H_
 #define DYNHIST_HISTOGRAM_SSBM_H_
@@ -38,9 +45,9 @@ struct SsbmOptions {
 
   /// Select each merge by a full scan over the surviving adjacent pairs —
   /// the paper's "quadratic in the number of distinct attribute values"
-  /// cost model (§5) — instead of the default tournament tree. Same merge
-  /// sequence and bit-identical output, different complexity; used by the
-  /// Fig. 13 cost benchmark.
+  /// cost model (§5) — instead of the default rounds and tournament tree.
+  /// Same partition, bit-identical output, different complexity; used by
+  /// the Fig. 13 cost benchmark and as the tests' reference.
   bool use_quadratic_scan = false;
 };
 

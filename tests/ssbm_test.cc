@@ -1,10 +1,18 @@
 #include "src/histogram/ssbm.h"
 
+#include <cmath>
+#include <limits>
+#include <memory>
+
 #include "src/common/rng.h"
 
 #include <gtest/gtest.h>
 
 #include "src/data/cluster_generator.h"
+#include "src/histogram/dynamic_compressed.h"
+#include "src/histogram/dynamic_vopt.h"
+#include "src/histogram/merge.h"
+#include "src/histogram/st_feedback.h"
 #include "src/histogram/static_voptimal.h"
 #include "src/metrics/ks.h"
 #include "tests/test_util.h"
@@ -233,6 +241,219 @@ TEST(SsbmTest, EveryOptionCombinationIsPinned) {
           << digest;
     }
   }
+}
+
+// Differential tests of the default selection — batched rounds of
+// provably forced merges, then the tournament tree — against the paper's
+// quadratic scan. Every input is reduced at budgets 1, 7, 16 and 64 and
+// must give the same pieces and buckets bit for bit. The families aim at
+// the rounds' proof obligations: composites like the engine's, exact ties,
+// keys that are pure rounding noise, extreme magnitudes, and inputs where
+// no pair qualifies and the tree runs from the start. Together they reduce
+// more than 2,000 inputs.
+using Slices = std::vector<HistogramModel::Piece>;
+
+// Reduces `slices` both ways at every budget; returns 1 (one input).
+int ExpectRoundsMatchScan(const Slices& slices) {
+  SsbmOptions scan;
+  scan.use_quadratic_scan = true;
+  for (const std::int64_t buckets : {1, 7, 16, 64}) {
+    SCOPED_TRACE(::testing::Message() << "budget " << buckets << ", "
+                                      << slices.size() << " slices");
+    ExpectSameModel(BuildSsbm(slices, buckets),
+                    BuildSsbm(slices, buckets, scan));
+  }
+  return 1;
+}
+
+// The nonzero pieces of a superimposed fleet of 1-12 shard histograms of
+// one kind, fed a shuffled cluster data set as the engine feeds its shards
+// (ST-FEEDBACK: range observations at 1/k scale).
+Slices FleetComposite(int kind, std::uint64_t seed) {
+  Rng rng(seed);
+  const int shards = 1 + static_cast<int>(rng.UniformInt(12));
+  const auto buckets = static_cast<std::int64_t>(4 + rng.UniformInt(21));
+  ClusterDataConfig config;
+  config.num_points = static_cast<std::int64_t>(1'000 + rng.UniformInt(4'000));
+  config.domain_size = 2'001;
+  config.num_clusters = 5 + static_cast<std::int64_t>(rng.UniformInt(60));
+  config.seed = seed;
+  std::vector<std::int64_t> values = GenerateClusterData(config);
+  for (std::size_t i = values.size(); i > 1; --i) {
+    std::swap(values[i - 1], values[rng.UniformInt(i)]);
+  }
+  std::vector<std::unique_ptr<Histogram>> fleet;
+  for (int s = 0; s < shards; ++s) {
+    switch (kind) {
+      case 0:
+        fleet.push_back(std::make_unique<DynamicCompressedHistogram>(
+            DynamicCompressedConfig{.buckets = buckets}));
+        break;
+      case 1:
+      case 2:
+        fleet.push_back(std::make_unique<DynamicVOptHistogram>(
+            DynamicVOptConfig{.buckets = buckets,
+                              .policy = kind == 1
+                                            ? DeviationPolicy::kSquared
+                                            : DeviationPolicy::kAbsolute}));
+        break;
+      default: {
+        StFeedbackConfig st;
+        st.buckets = buckets;
+        st.domain_hi = config.domain_size - 1;
+        fleet.push_back(std::make_unique<StFeedbackHistogram>(st));
+      }
+    }
+  }
+  if (kind == 3) {
+    const FrequencyVector truth(config.domain_size, values);
+    for (int q = 0; q < 300; ++q) {
+      const std::int64_t lo = rng.UniformInt(0, config.domain_size - 1);
+      const std::int64_t hi = rng.UniformInt(lo, config.domain_size - 1);
+      const double actual =
+          static_cast<double>(truth.RangeCount(lo, hi)) / shards;
+      for (auto& h : fleet) h->ApplyFeedback(lo, hi, actual);
+    }
+  } else {
+    for (const std::int64_t v : values) {
+      fleet[rng.UniformInt(static_cast<std::uint64_t>(shards))]->Insert(v);
+    }
+  }
+  std::vector<HistogramModel> models;
+  for (const auto& h : fleet) models.push_back(h->Model());
+  const HistogramModel composite = Superimpose(models);
+  Slices slices;
+  for (const auto& p : composite.pieces()) {
+    if (p.count > 0.0) slices.push_back(p);
+  }
+  return slices;
+}
+
+TEST(SsbmRoundsTest, MatchScanOnSuperimposedFleets) {
+  int inputs = 0;
+  for (int kind = 0; kind < 4; ++kind) {
+    for (std::uint64_t seed = 1; seed <= 100; ++seed) {
+      SCOPED_TRACE(::testing::Message() << "kind " << kind << " seed " << seed);
+      inputs += ExpectRoundsMatchScan(FleetComposite(kind, seed));
+    }
+  }
+  EXPECT_EQ(inputs, 400);
+}
+
+TEST(SsbmRoundsTest, MatchScanOnTieHeavyIntegerFrequencies) {
+  // Frequencies 1-3 (or one of 1, 2, 4) over runs of consecutive values
+  // with occasional gaps: many merge keys tie exactly.
+  int inputs = 0;
+  for (std::uint64_t seed = 1; seed <= 500; ++seed) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    Rng rng(seed);
+    const auto n = static_cast<int>(2 + rng.UniformInt(299));
+    const bool powers = seed % 2 == 0;
+    Slices slices;
+    double left = 0.0;
+    for (int i = 0; i < n; ++i) {
+      if (rng.Bernoulli(0.05)) {
+        left += static_cast<double>(rng.UniformInt(1, 3));
+      }
+      const double freq =
+          powers ? static_cast<double>(1 << rng.UniformInt(3))
+                 : static_cast<double>(1 + rng.UniformInt(3));
+      slices.push_back({left, left + 1.0, freq});
+      left += 1.0;
+    }
+    inputs += ExpectRoundsMatchScan(slices);
+  }
+  EXPECT_EQ(inputs, 500);
+}
+
+TEST(SsbmRoundsTest, MatchScanOnUniformAndNearUniformDensities) {
+  // One density everywhere: exactly (unit slices of one count, so every
+  // key is 0), up to the rounding of count = density * width (keys are
+  // rounding noise), or perturbed by 1e-12 (keys far below the rounds'
+  // error bound). No pair may be merged early on noise.
+  int inputs = 0;
+  for (std::uint64_t seed = 1; seed <= 450; ++seed) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    Rng rng(seed);
+    const auto n = static_cast<int>(2 + rng.UniformInt(299));
+    const double density = std::ldexp(1.0 + rng.UniformDouble(),
+                                      static_cast<int>(rng.UniformInt(-8, 8)));
+    const int mode = static_cast<int>(seed % 3);
+    Slices slices;
+    double left = -100.0 * rng.UniformDouble();
+    for (int i = 0; i < n; ++i) {
+      const double width = mode == 0 ? 1.0 : 0.05 + 3.0 * rng.UniformDouble();
+      double count = mode == 0 ? density : density * width;
+      if (mode == 2) count *= 1.0 + 1e-12 * (2.0 * rng.UniformDouble() - 1.0);
+      slices.push_back({left, left + width, count});
+      left += width;
+    }
+    inputs += ExpectRoundsMatchScan(slices);
+  }
+  EXPECT_EQ(inputs, 450);
+}
+
+TEST(SsbmRoundsTest, MatchScanOnExtremeWidthsCountsAndGaps) {
+  // Widths from 2^-20 to 2^20, counts from 1e-10 to 1e20 (some zero), and
+  // gaps of either scale between slices.
+  int inputs = 0;
+  for (std::uint64_t seed = 1; seed <= 650; ++seed) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    Rng rng(seed);
+    const auto n = static_cast<int>(2 + rng.UniformInt(299));
+    // Narrow spans keep one scale; wide ones mix all of them in one input.
+    const int span = static_cast<int>(rng.UniformInt(1, 40));
+    const int width_lo = static_cast<int>(rng.UniformInt(-20, 20 - span / 2));
+    const int count_lo = static_cast<int>(rng.UniformInt(-10, 20 - span / 2));
+    Slices slices;
+    double left = std::ldexp(rng.UniformDouble() - 0.5, 21);
+    for (int i = 0; i < n; ++i) {
+      if (rng.Bernoulli(0.2)) {
+        left += std::ldexp(1.0 + rng.UniformDouble(),
+                           static_cast<int>(rng.UniformInt(-20, 20)));
+      }
+      const int width_exp = std::min<int>(
+          20, width_lo + static_cast<int>(rng.UniformInt(span / 2 + 1)));
+      const int count_exp = std::min<int>(
+          20, count_lo + static_cast<int>(rng.UniformInt(span / 2 + 1)));
+      const double width = std::ldexp(1.0 + rng.UniformDouble(), width_exp - 1);
+      const double count = rng.Bernoulli(0.05)
+                               ? 0.0
+                               : (1.0 + 9.0 * rng.UniformDouble()) *
+                                     std::pow(10.0, count_exp - 1);
+      const double right = left + width;
+      slices.push_back({left, right, count});
+      left = right;
+    }
+    inputs += ExpectRoundsMatchScan(slices);
+  }
+  EXPECT_EQ(inputs, 650);
+}
+
+TEST(SsbmRoundsTest, MatchScanWhenTheTreeRunsFromTheStart) {
+  // No pair qualifies for a round: every key tied (one count on unit
+  // slices), or S = sum count^2/width overflowing to inf, which makes the
+  // error bound infinite while every key stays finite.
+  int inputs = 0;
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    Rng rng(seed);
+    const auto n = static_cast<int>(100 + rng.UniformInt(800));
+    Slices tied;
+    Slices overflowing;
+    double sum = 0.0;
+    for (int i = 0; i < n; ++i) {
+      const double left = static_cast<double>(i);
+      tied.push_back({left, left + 1.0, 5.0 * static_cast<double>(seed)});
+      const double count = (1.0 + rng.UniformDouble()) * 1e153;
+      overflowing.push_back({left, left + 1.0, count});
+      sum += count * count;
+    }
+    ASSERT_TRUE(std::isinf(sum));
+    inputs += ExpectRoundsMatchScan(tied);
+    inputs += ExpectRoundsMatchScan(overflowing);
+  }
+  EXPECT_EQ(inputs, 20);
 }
 
 TEST(SsbmTest, TotalMassInvariantUnderMerging) {
