@@ -1,9 +1,14 @@
 #include "bench/bench_util.h"
 
+#include <algorithm>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
+#include <latch>
+#include <numeric>
 #include <string>
+#include <thread>
 
+#include "perfbench/src/common.h"
 #include "src/common/check.h"
 
 namespace dynhist::bench {
@@ -20,55 +25,144 @@ Options Options::FromArgs(int argc, char** argv) {
       options.quick = true;
       options.seeds = 1;
       options.points = 20'000;
-    } else if (arg == "--json") {
-      options.json = true;
     } else {
-      std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
+      std::fprintf(stderr,
+                   "%s: unknown flag '%s'\n"
+                   "usage: %s [--quick] [--seeds=N] [--points=N]\n",
+                   argv[0], arg.c_str(), argv[0]);
+      std::exit(2);
     }
   }
   DH_CHECK(options.seeds >= 1);
   DH_CHECK(options.points >= 1);
-  SetJsonOutput(options.json);
   return options;
 }
 
-namespace {
-
-bool json_output_enabled = false;
-
-// JSON string escaping for the few metacharacters bench titles can hold.
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
+double SecondsSince(Clock::time_point start) {
+  return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-}  // namespace
-
-void SetJsonOutput(bool enabled) { json_output_enabled = enabled; }
-
-bool JsonOutputEnabled() { return json_output_enabled; }
-
-void EmitJsonSeries(const std::string& bench, const std::string& series,
-                    const std::vector<double>& xs,
-                    const std::vector<double>& ys) {
-  if (!json_output_enabled) return;
-  DH_CHECK(xs.size() == ys.size());
-  std::printf("{\"bench\":\"%s\",\"series\":\"%s\",\"x\":[",
-              JsonEscape(bench).c_str(), JsonEscape(series).c_str());
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    std::printf("%s%.10g", i == 0 ? "" : ",", xs[i]);
+double RunThreads(int threads, const std::function<double(int)>& step) {
+  DH_CHECK(threads >= 1);
+  std::latch created(threads);
+  std::latch release(1);
+  Clock::time_point deadline;
+  std::vector<double> ops(static_cast<std::size_t>(threads), 0.0);
+  const auto run = [&](int t) {
+    double done = 0.0;
+    do {
+      done += step(t);
+    } while (Clock::now() < deadline);
+    ops[static_cast<std::size_t>(t)] = done;
+  };
+  std::vector<std::thread> others;
+  others.reserve(static_cast<std::size_t>(threads - 1));
+  for (int t = 1; t < threads; ++t) {
+    others.emplace_back([&, t] {
+      created.count_down();
+      release.wait();
+      run(t);
+    });
   }
-  std::printf("],\"y\":[");
-  for (std::size_t i = 0; i < ys.size(); ++i) {
-    std::printf("%s%.10g", i == 0 ? "" : ",", ys[i]);
+  created.count_down();
+  created.wait();
+  deadline = Clock::now() + std::chrono::duration_cast<Clock::duration>(
+                                std::chrono::duration<double>(kWindowSeconds));
+  release.count_down();
+  run(0);
+  for (std::thread& thread : others) thread.join();
+  return std::accumulate(ops.begin(), ops.end(), 0.0);
+}
+
+std::vector<std::vector<double>> Interleave(const std::vector<Step>& arms) {
+  std::vector<std::vector<double>> values(arms.size());
+  for (int round = 0; round <= kRepeats; ++round) {
+    std::vector<double> ops(arms.size(), 0.0);
+    std::vector<double> seconds(arms.size(), 0.0);
+    for (;;) {
+      const auto a = static_cast<std::size_t>(
+          std::min_element(seconds.begin(), seconds.end()) - seconds.begin());
+      if (seconds[a] >= kWindowSeconds) break;
+      const auto start = Clock::now();
+      ops[a] += arms[a](round);
+      seconds[a] += SecondsSince(start);
+    }
+    if (round == 0) continue;  // warm-up
+    for (std::size_t a = 0; a < arms.size(); ++a) {
+      values[a].push_back(ops[a] / seconds[a]);
+    }
   }
-  std::printf("]}\n");
-  std::fflush(stdout);
+  return values;
+}
+
+double IngestPass(const engine::EngineOptions& options,
+                  const std::vector<std::int64_t>& values, int writers) {
+  engine::HistogramEngine engine(options);
+  const std::size_t share = values.size() / static_cast<std::size_t>(writers);
+  const auto insert = [&](int w) {
+    const std::size_t begin = static_cast<std::size_t>(w) * share;
+    const std::size_t end = w + 1 == writers ? values.size() : begin + share;
+    for (std::size_t i = begin; i < end; ++i) {
+      engine.Insert("bench.attribute", values[i]);
+    }
+  };
+  std::latch release(1);
+  std::vector<std::thread> others;
+  for (int w = 1; w < writers; ++w) {
+    others.emplace_back([&, w] {
+      release.wait();
+      insert(w);
+    });
+  }
+  release.count_down();
+  insert(0);
+  for (std::thread& thread : others) thread.join();
+  engine.FlushAll();
+  return static_cast<double>(values.size());
+}
+
+double Percentile(std::vector<double> sample, double q) {
+  DH_CHECK(!sample.empty());
+  std::sort(sample.begin(), sample.end());
+  return perfbench::PercentileOfSorted(sample, q);
+}
+
+Summary Summarize(std::vector<double> sample) {
+  Summary summary;
+  summary.n = sample.size();
+  if (sample.empty()) return summary;
+  std::sort(sample.begin(), sample.end());
+  summary.median = perfbench::PercentileOfSorted(sample, 0.50);
+  summary.p25 = perfbench::PercentileOfSorted(sample, 0.25);
+  summary.p75 = perfbench::PercentileOfSorted(sample, 0.75);
+  return summary;
+}
+
+std::string Describe(const Summary& summary, const char* format) {
+  const auto value = [format](double v) {
+    char buffer[64];
+    std::snprintf(buffer, sizeof(buffer), format, v);
+    return std::string(buffer);
+  };
+  return value(summary.median) + " [p25 " + value(summary.p25) + ", p75 " +
+         value(summary.p75) + "] n=" + std::to_string(summary.n);
+}
+
+bool Gate(bool pass, const char* what, const Summary& summary) {
+  std::printf("%s %s: %s\n", pass ? "gate ok:" : "FAIL:", what,
+              Describe(summary).c_str());
+  return pass;
+}
+
+std::vector<double> Ratios(const std::vector<double>& numerator,
+                           const std::vector<double>& denominator) {
+  DH_CHECK(numerator.size() == denominator.size());
+  std::vector<double> ratios;
+  ratios.reserve(numerator.size());
+  for (std::size_t r = 0; r < numerator.size(); ++r) {
+    ratios.push_back(numerator[r] / denominator[r]);
+  }
+  return ratios;
 }
 
 std::unique_ptr<Histogram> MakeDynamic(const std::string& name,
@@ -132,7 +226,6 @@ void RunSweep(const std::string& title, const std::string& x_label,
   std::printf("%-12s", x_label.c_str());
   for (const std::string& s : series) std::printf("%14s", s.c_str());
   std::printf("\n");
-  std::vector<std::vector<double>> means(series.size());
   for (const double x : xs) {
     std::vector<double> sums(series.size(), 0.0);
     for (int seed = 0; seed < seeds; ++seed) {
@@ -142,18 +235,13 @@ void RunSweep(const std::string& title, const std::string& x_label,
       for (std::size_t i = 0; i < row.size(); ++i) sums[i] += row[i];
     }
     std::printf("%-12.4g", x);
-    for (std::size_t i = 0; i < sums.size(); ++i) {
-      const double mean = sums[i] / static_cast<double>(seeds);
-      means[i].push_back(mean);
-      std::printf("%14.6f", mean);
+    for (const double sum : sums) {
+      std::printf("%14.6f", sum / static_cast<double>(seeds));
     }
     std::printf("\n");
     std::fflush(stdout);
   }
   std::printf("\n");
-  for (std::size_t i = 0; i < series.size(); ++i) {
-    EmitJsonSeries(title, series[i], xs, means[i]);
-  }
 }
 
 void RunTimeline(const std::string& title, const std::string& x_label,
@@ -177,20 +265,14 @@ void RunTimeline(const std::string& title, const std::string& x_label,
   std::printf("%-12s", x_label.c_str());
   for (const std::string& s : series) std::printf("%14s", s.c_str());
   std::printf("\n");
-  std::vector<std::vector<double>> means(series.size());
   for (std::size_t x = 0; x < xs.size(); ++x) {
     std::printf("%-12.4g", xs[x]);
-    for (std::size_t s = 0; s < sums[x].size(); ++s) {
-      const double mean = sums[x][s] / static_cast<double>(seeds);
-      means[s].push_back(mean);
-      std::printf("%14.6f", mean);
+    for (const double sum : sums[x]) {
+      std::printf("%14.6f", sum / static_cast<double>(seeds));
     }
     std::printf("\n");
   }
   std::printf("\n");
-  for (std::size_t s = 0; s < series.size(); ++s) {
-    EmitJsonSeries(title, series[s], xs, means[s]);
-  }
 }
 
 }  // namespace dynhist::bench

@@ -1,4 +1,5 @@
-// Shared driver for the figure-reproduction benches.
+// Shared code of the figure-reproduction benches, and the one timing
+// discipline of the micro benches' gates and series.
 //
 // Every bench binary regenerates one figure of the paper's evaluation
 // (§7, §8): it sweeps the figure's x-axis, runs each plotted algorithm for
@@ -6,13 +7,15 @@
 // per point — the same series the paper plots. Flags:
 //   --seeds=N    randomized repetitions per point (default 5; paper: 10)
 //   --points=N   stream length (default 100,000; the paper's test size)
-//   --quick      1 seed, 20,000 points (smoke-test mode)
-//   --json       additionally emit one JSON line per series (for BENCH_*
-//                trajectory tracking; see EmitJsonSeries)
+//   --quick      1 seed, 20,000 points, and the micro benches' shorter
+//                sweeps (smoke-test mode)
+// Any other flag is an error (exit 2).
 
 #ifndef DYNHIST_BENCH_BENCH_UTIL_H_
 #define DYNHIST_BENCH_BENCH_UTIL_H_
 
+#include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -28,26 +31,87 @@ struct Options {
   int seeds = 5;
   std::int64_t points = 100'000;
   bool quick = false;
-  bool json = false;
 
-  /// Parses flags; as a side effect enables process-wide JSON emission
-  /// (SetJsonOutput) when --json is present.
+  /// Parses flags; prints a usage line and exits 2 on an unknown flag.
   static Options FromArgs(int argc, char** argv);
 };
 
-/// Process-wide switch for machine-readable output. When on, RunSweep /
-/// RunTimeline / EmitJsonSeries print one JSON object per series line.
-void SetJsonOutput(bool enabled);
-bool JsonOutputEnabled();
+// ---- Timing --------------------------------------------------------------
+//
+// A measurement compares arms: code paths or configurations run on the
+// same workload. Each arm is a step, one unit of work on the calling
+// thread. Interleave runs one untimed warm-up round, then kRepeats timed
+// rounds. In a round the arm that has run the least so far takes the next
+// step, every step timed on its own, until each arm has run for at least
+// kWindowSeconds; an arm's value for the round is its operations over its
+// own time. A cheap arm so takes several steps per step of a costly one,
+// the arms' windows span the same stretch of wall-clock time whatever
+// their steps cost, and drift on the host reaches every arm alike: on the
+// 4-core VM an engine-ingest A/A comparison spread 7-13 points (IQR of
+// per-round ratios) with each arm a contiguous 200-ms window, and
+// 2.7-4.8 points in 20,000-insert steps. A gate decides on the median
+// of its arm's kRepeats values, a ratio gate on the median of the
+// per-round ratios, and each prints its statistic with p25/p75 and n
+// (Summarize, Describe, Gate).
 
-/// Prints one machine-readable result line (regardless of the human table):
-///   {"bench":"...","series":"...","x":[...],"y":[...]}
-/// No-op unless JSON output is enabled. Benches call this (or rely on
-/// RunSweep/RunTimeline, which call it per series) so results can seed
-/// BENCH_*.json trajectory files.
-void EmitJsonSeries(const std::string& bench, const std::string& series,
-                    const std::vector<double>& xs,
-                    const std::vector<double>& ys);
+using Clock = std::chrono::steady_clock;
+
+inline constexpr double kWindowSeconds = 0.2;
+inline constexpr int kRepeats = 19;
+
+double SecondsSince(Clock::time_point start);
+
+/// One step of an arm; returns how many operations it did. `round` is 0
+/// for the warm-up round and 1..kRepeats for the timed ones, for arms
+/// that keep per-round samples.
+using Step = std::function<double(int round)>;
+
+/// Runs `arms` as described above. Returns each arm's kRepeats values in
+/// round order, so values[a][r] and values[b][r] are a pair.
+std::vector<std::vector<double>> Interleave(const std::vector<Step>& arms);
+
+/// A step for multi-thread arms: `threads` threads, the caller and
+/// threads - 1 new ones, released together once all exist, each calling
+/// `step(thread)` (returning its operation count) until kWindowSeconds
+/// have passed. Returns the operations of all threads.
+double RunThreads(int threads, const std::function<double(int)>& step);
+
+/// An ingest step: a fresh engine built from `options`; `writers`
+/// threads (the caller and writers - 1 new ones, released together) each
+/// insert a contiguous share of `values`; then FlushAll. Returns
+/// values.size(). The step's time includes building and destroying the
+/// engine: on the 4-core VM an empty pass took a median 27 us with
+/// telemetry on (which allocates the trace ring) and 7 us with it off, a
+/// difference of 0.24% of a 20,000-insert pass (8.4 ms).
+double IngestPass(const engine::EngineOptions& options,
+                  const std::vector<std::int64_t>& values, int writers);
+
+/// Percentile q in (0, 1] of a nonempty sample by perfbench's
+/// nearest-rank rule: the value at index ceil(q * n) - 1 once sorted.
+double Percentile(std::vector<double> sample, double q);
+
+/// Median and quartiles (nearest rank) of a sample, with its size.
+struct Summary {
+  double median = 0.0;
+  double p25 = 0.0;
+  double p75 = 0.0;
+  std::size_t n = 0;
+};
+Summary Summarize(std::vector<double> sample);
+
+/// "<median> [p25 <p25>, p75 <p75>] n=<n>", each value printed with
+/// `format`.
+std::string Describe(const Summary& summary, const char* format = "%.3g");
+
+/// Prints "gate ok: <what>: <Describe(summary)>", or "FAIL: ..." when
+/// `pass` is false; returns `pass`.
+bool Gate(bool pass, const char* what, const Summary& summary);
+
+/// The per-round ratios numerator[r] / denominator[r].
+std::vector<double> Ratios(const std::vector<double>& numerator,
+                           const std::vector<double>& denominator);
+
+// ---- Figure benches ------------------------------------------------------
 
 /// Memory sizes in bytes from the paper's "Memory [KB]" axes.
 inline double Kb(double kb) { return kb * 1024.0; }

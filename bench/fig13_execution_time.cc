@@ -10,20 +10,7 @@
 // far the most expensive constructor, SSBM is orders of magnitude cheaper
 // at near-equal quality, and SC/DADO are cheapest.
 
-#include <chrono>
-
 #include "bench/bench_util.h"
-
-namespace {
-
-double Seconds(const std::function<void()>& fn) {
-  const auto start = std::chrono::steady_clock::now();
-  fn();
-  const auto stop = std::chrono::steady_clock::now();
-  return std::chrono::duration<double>(stop - start).count();
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace dynhist;
@@ -50,31 +37,25 @@ int main(int argc, char** argv) {
         const std::int64_t buckets =
             BucketBudget(Kb(x), BucketLayout::kBorderCount);
 
+        SsbmOptions quad;
+        quad.use_quadratic_scan = true;
+        const std::vector<std::function<void()>> builds = {
+            [&] { (void)BuildVOptimal(entries, buckets).TotalCount(); },
+            [&] { (void)BuildSsbm(entries, buckets, quad).TotalCount(); },
+            [&] { (void)BuildSsbm(entries, buckets).TotalCount(); },
+            [&] { (void)BuildCompressed(entries, buckets).TotalCount(); },
+            [&] {
+              auto dado = MakeDynamic("DADO", Kb(x), seed);
+              FrequencyVector t(config.domain_size);
+              Replay(stream, dado.get(), &t);
+              (void)dado->Model().TotalCount();
+            }};
         std::vector<double> row;
-        row.push_back(Seconds([&] {
-          const auto model = BuildVOptimal(entries, buckets);
-          (void)model.TotalCount();
-        }));
-        row.push_back(Seconds([&] {
-          SsbmOptions quad;
-          quad.use_quadratic_scan = true;
-          const auto model = BuildSsbm(entries, buckets, quad);
-          (void)model.TotalCount();
-        }));
-        row.push_back(Seconds([&] {
-          const auto model = BuildSsbm(entries, buckets);
-          (void)model.TotalCount();
-        }));
-        row.push_back(Seconds([&] {
-          const auto model = BuildCompressed(entries, buckets);
-          (void)model.TotalCount();
-        }));
-        row.push_back(Seconds([&] {
-          auto dado = MakeDynamic("DADO", Kb(x), seed);
-          FrequencyVector t(config.domain_size);
-          Replay(stream, dado.get(), &t);
-          (void)dado->Model().TotalCount();
-        }));
+        for (const auto& build : builds) {
+          const auto start = Clock::now();
+          build();
+          row.push_back(SecondsSince(start));
+        }
         return row;
       });
   return 0;

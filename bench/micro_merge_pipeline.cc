@@ -1,6 +1,12 @@
 // Micro-benchmark: snapshot-merge (publish) cost vs attribute domain size,
 // plus the coalesced-batch ingest win.
 //
+// Every timed number comes from the shared timing helper (bench_util.h):
+// after a warm-up round, rounds in which the arm that has run the least
+// takes the next call until each has run for at least 200 ms, printed as
+// median [p25, p75] n; ratio gates decide on the median of the per-round
+// ratios.
+//
 // Phase 1 — publish latency. An 8-shard DC fleet absorbs a uniform stream
 // over domains 1e4 .. 1e7, then the two merge pipelines run over the same
 // shard models:
@@ -9,22 +15,26 @@
 //   cells  — legacy range-scan Superimpose + per-integer-cell SSBM
 //            reduction (the paper-literal §8 construction; the test-only
 //            reference in tests/merge_reference.h).
-// The pieces path must be domain-independent (flat latency across the
-// sweep) and >= 10x faster than the legacy path at domain 1e6, while
-// agreeing with it on total mass (1e-9 relative) and shape (KS <= 1e-9;
-// DC borders are integer-aligned, where cell rasterization is exact).
-// The bench exits nonzero if any of that fails, so check.sh catches merge-
-// pipeline regressions.
+// The pieces path must be domain-independent (its latency at the largest
+// domain at most 20x that at the smallest) and >= 10x faster than the
+// legacy path at domain 1e6, while agreeing with it on total mass (1e-9
+// relative) and shape (KS <= 1e-9; DC borders are integer-aligned, where
+// cell rasterization is exact). The bench exits nonzero if any of that
+// fails, so check.sh catches merge-pipeline regressions.
 //
 // Phase 2 — ingest throughput with batch coalescing on vs off, single
-// writer, Zipf(1) stream (duplicate-heavy), swept over batch sizes.
+// writer, Zipf(1) stream (duplicate-heavy), swept over batch sizes. Not
+// gated, and not run with --quick.
 //
-// Flags: the shared bench flags (--quick, --points=N, --json).
+// Flags: the shared bench flags (--quick, --points=N). --quick times
+// domains 1e4 and 1e6 only; the parity checks run untimed at 1e4, 1e5 and
+// 1e6 either way.
 
-#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <functional>
+#include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -35,7 +45,6 @@ namespace dynhist::bench {
 namespace {
 
 using engine::EngineOptions;
-using engine::HistogramEngine;
 
 constexpr int kShards = 8;
 constexpr std::int64_t kShardBuckets = 64;
@@ -47,12 +56,6 @@ std::uint64_t MixValue(std::int64_t value) {
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
   return z ^ (z >> 31);
-}
-
-double SecondsSince(const std::chrono::steady_clock::time_point& start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
 }
 
 // The engine's shard fleet in miniature: DC histograms (integer-aligned
@@ -77,35 +80,15 @@ std::vector<HistogramModel> BuildShardModels(std::int64_t domain,
   return models;
 }
 
-// Times one publish flavor; runs until `min_seconds` or `max_reps`.
-template <typename Fn>
-double MicrosPerCall(const Fn& fn, double min_seconds, int max_reps) {
-  const auto start = std::chrono::steady_clock::now();
-  int reps = 0;
-  do {
-    fn();
-    ++reps;
-  } while (reps < max_reps && SecondsSince(start) < min_seconds);
-  return SecondsSince(start) / static_cast<double>(reps) * 1e6;
-}
-
 double RelativeDiff(double a, double b) {
   return std::fabs(a - b) / (1.0 + std::fabs(b));
 }
 
-// Single-writer ingest throughput at one batch size.
-double MeasureIngest(const std::vector<std::int64_t>& values, int batch_size,
-                     bool coalesce) {
-  EngineOptions options;
-  options.shards = kShards;
-  options.batch_size = batch_size;
-  options.snapshot_every = 0;  // isolate ingest
-  options.coalesce_batches = coalesce;
-  HistogramEngine engine(options);
-  const auto start = std::chrono::steady_clock::now();
-  for (const std::int64_t v : values) engine.Insert("bench.attr", v);
-  engine.FlushAll();
-  return static_cast<double>(values.size()) / SecondsSince(start);
+// Microseconds per call, from each window's calls per second.
+std::vector<double> Micros(const std::vector<double>& rates) {
+  std::vector<double> micros;
+  for (const double rate : rates) micros.push_back(1e6 / rate);
+  return micros;
 }
 
 }  // namespace
@@ -122,121 +105,141 @@ int main(int argc, char** argv) {
   const std::vector<double> domains =
       options.quick ? std::vector<double>{1e4, 1e5, 1e6}
                     : std::vector<double>{1e4, 1e5, 1e6, 1e7};
+  const auto timed = [&](double domain) {
+    return !options.quick || domain != 1e5;
+  };
   // The legacy path materializes one SSBM entry per covered integer cell;
-  // past ~1e6 cells that is GBs of merge state, so it is measured only up
-  // to 1e6 (which is where the acceptance criterion sits anyway).
+  // past ~1e6 cells that is GBs of merge state, so it runs only up to 1e6
+  // (which is where the acceptance criterion sits anyway).
   const double legacy_cap = 1e6;
   const std::int64_t points = options.quick ? 20'000 : 100'000;
 
   std::printf("# micro_merge_pipeline: %d DC shards x %lld buckets, "
-              "%lld points, merged budget %lld\n",
+              "%lld points, merged budget %lld; %d rounds of >= %.0f ms "
+              "per arm\n",
               kShards, static_cast<long long>(kShardBuckets),
               static_cast<long long>(points),
-              static_cast<long long>(kMergedBuckets));
-  std::printf("%-12s%16s%16s%12s%14s%12s\n", "domain", "pieces [us]",
-              "cells [us]", "speedup", "mass rel", "KS");
+              static_cast<long long>(kMergedBuckets), kRepeats,
+              kWindowSeconds * 1e3);
 
-  std::vector<double> pieces_us, cells_us, cells_domains, speedups;
-  double speedup_at_1e6 = 0.0;
+  // Arms: the pieces path per timed domain, then the cell path per timed
+  // domain up to the cap (arm index per domain, -1 when untimed). The
+  // parity checks below reduce once more, untimed.
+  std::vector<std::vector<HistogramModel>> models;
   for (const double domain : domains) {
-    const auto models = BuildShardModels(static_cast<std::int64_t>(domain),
-                                         points, /*seed=*/29);
-    SnapshotMerger merger;
-    HistogramModel pieces_reduced;
-    const double us_pieces = MicrosPerCall(
-        [&] {
-          pieces_reduced = merger.MergeAndReduce(models, kMergedBuckets);
-        },
-        /*min_seconds=*/0.2, /*max_reps=*/2'000);
-    pieces_us.push_back(us_pieces);
-
-    if (domain <= legacy_cap) {
-      HistogramModel cells_reduced;
-      const double us_cells = MicrosPerCall(
-          [&] {
-            cells_reduced = testing::ReduceWithSsbmCells(
-                testing::SuperimposeLegacy(models), kMergedBuckets);
-          },
-          /*min_seconds=*/0.2, /*max_reps=*/50);
-      cells_us.push_back(us_cells);
-      cells_domains.push_back(domain);
-      const double speedup = us_cells / us_pieces;
-      speedups.push_back(speedup);
-      if (domain == 1e6) speedup_at_1e6 = speedup;
-
-      const double mass_rel = RelativeDiff(pieces_reduced.TotalCount(),
-                                           cells_reduced.TotalCount());
-      const double ks = KsBetweenModels(pieces_reduced, cells_reduced);
-      std::printf("%-12.0f%16.1f%16.1f%12.1f%14.2e%12.2e\n", domain,
-                  us_pieces, us_cells, speedup, mass_rel, ks);
-      if (mass_rel > 1e-9) {
-        std::printf("FAIL: mass parity %.3e > 1e-9 at domain %.0f\n",
-                    mass_rel, domain);
-        ok = false;
-      }
-      if (ks > 1e-9) {
-        std::printf("FAIL: KS parity %.3e > 1e-9 at domain %.0f\n", ks,
-                    domain);
-        ok = false;
-      }
-    } else {
-      std::printf("%-12.0f%16.1f%16s%12s%14s%12s\n", domain, us_pieces,
-                  "(skipped)", "-", "-", "-");
-    }
-    std::fflush(stdout);
+    models.push_back(BuildShardModels(static_cast<std::int64_t>(domain),
+                                      points, /*seed=*/29));
   }
-  EmitJsonSeries("micro_merge_pipeline", "publish_us_pieces", domains,
-                 pieces_us);
-  EmitJsonSeries("micro_merge_pipeline", "publish_us_cells", cells_domains,
-                 cells_us);
-  EmitJsonSeries("micro_merge_pipeline", "publish_speedup", cells_domains,
-                 speedups);
+  std::vector<SnapshotMerger> mergers(domains.size());
+  std::vector<Step> arms;
+  std::vector<int> pieces_arm(domains.size(), -1);
+  std::vector<int> cells_arm(domains.size(), -1);
+  for (std::size_t d = 0; d < domains.size(); ++d) {
+    if (!timed(domains[d])) continue;
+    pieces_arm[d] = static_cast<int>(arms.size());
+    arms.push_back([&, d](int) {
+      mergers[d].MergeAndReduce(models[d], kMergedBuckets);
+      return 1.0;
+    });
+  }
+  for (std::size_t d = 0; d < domains.size(); ++d) {
+    if (!timed(domains[d]) || domains[d] > legacy_cap) continue;
+    cells_arm[d] = static_cast<int>(arms.size());
+    arms.push_back([&, d](int) {
+      testing::ReduceWithSsbmCells(testing::SuperimposeLegacy(models[d]),
+                                   kMergedBuckets);
+      return 1.0;
+    });
+  }
+  const auto rates = Interleave(arms);
+  const auto micros = [&](int arm) {
+    return arm < 0 ? std::string("(untimed)")
+                   : Describe(Summarize(Micros(rates[arm])), "%.1f");
+  };
 
-  if (speedup_at_1e6 < 10.0) {
-    std::printf("FAIL: speedup %.1fx < 10x at domain 1e6\n", speedup_at_1e6);
-    ok = false;
-  } else {
-    std::printf("publish speedup at domain 1e6: %.0fx (>= 10x required)\n",
-                speedup_at_1e6);
+  std::printf("%-9s %-36s %-36s %-10s %s\n", "domain", "pieces [us]",
+              "cells [us]", "mass rel", "KS");
+  for (std::size_t d = 0; d < domains.size(); ++d) {
+    if (domains[d] > legacy_cap) {
+      std::printf("%-9.0f %-36s %-36s %-10s %s\n", domains[d],
+                  micros(pieces_arm[d]).c_str(), "(skipped)", "-", "-");
+      continue;
+    }
+    SnapshotMerger merger;
+    const HistogramModel pieces_reduced =
+        merger.MergeAndReduce(models[d], kMergedBuckets);
+    const HistogramModel cells_reduced = testing::ReduceWithSsbmCells(
+        testing::SuperimposeLegacy(models[d]), kMergedBuckets);
+    const double mass_rel = RelativeDiff(pieces_reduced.TotalCount(),
+                                         cells_reduced.TotalCount());
+    const double ks = KsBetweenModels(pieces_reduced, cells_reduced);
+    std::printf("%-9.0f %-36s %-36s %-10.2e %.2e\n", domains[d],
+                micros(pieces_arm[d]).c_str(), micros(cells_arm[d]).c_str(),
+                mass_rel, ks);
+    if (mass_rel > 1e-9) {
+      std::printf("FAIL: mass parity %.3e > 1e-9 at domain %.0f\n",
+                  mass_rel, domains[d]);
+      ok = false;
+    }
+    if (ks > 1e-9) {
+      std::printf("FAIL: KS parity %.3e > 1e-9 at domain %.0f\n", ks,
+                  domains[d]);
+      ok = false;
+    }
+  }
+  // Speedup at 1e6: pieces calls per cell-path call, per round.
+  for (std::size_t d = 0; d < domains.size(); ++d) {
+    if (domains[d] != 1e6) continue;
+    const Summary speedup =
+        Summarize(Ratios(rates[pieces_arm[d]], rates[cells_arm[d]]));
+    ok &= Gate(speedup.median >= 10.0, "publish speedup at domain 1e6 >= 10x",
+               speedup);
   }
   // Domain independence: the pieces path may not grow with the domain the
   // way the cell path does; allow generous noise.
-  if (pieces_us.back() > 20.0 * pieces_us.front()) {
-    std::printf("FAIL: pieces publish grew %.1fx from domain %.0f to %.0f\n",
-                pieces_us.back() / pieces_us.front(), domains.front(),
-                domains.back());
-    ok = false;
-  }
+  const Summary growth = Summarize(
+      Ratios(rates[pieces_arm.front()], rates[pieces_arm.back()]));
+  ok &= Gate(growth.median <= 20.0,
+             "pieces publish growth, largest/smallest domain <= 20x", growth);
 
   // ---- Phase 2: coalesced-batch ingest --------------------------------
-  const std::vector<double> batch_sizes =
-      options.quick ? std::vector<double>{64, 256}
-                    : std::vector<double>{64, 256, 1024};
-  std::vector<std::int64_t> values;
-  {
+  if (!options.quick) {
+    std::vector<std::int64_t> values;
     Rng rng(31);
     const ZipfDistribution zipf(5'001, 1.0);
     values.reserve(static_cast<std::size_t>(points));
     for (std::int64_t i = 0; i < points; ++i) {
       values.push_back(static_cast<std::int64_t>(zipf.Sample(rng)));
     }
+    const std::vector<int> batch_sizes = {64, 256, 1024};
+    std::vector<EngineOptions> configs;  // coalesced, faithful per batch
+    for (const int batch : batch_sizes) {
+      for (const bool coalesce : {true, false}) {
+        EngineOptions engine_options;
+        engine_options.shards = kShards;
+        engine_options.batch_size = batch;
+        engine_options.snapshot_every = 0;  // isolate ingest
+        engine_options.coalesce_batches = coalesce;
+        configs.push_back(engine_options);
+      }
+    }
+    std::vector<Step> ingest_arms;
+    for (const EngineOptions& config : configs) {
+      ingest_arms.push_back(
+          [&](int) { return IngestPass(config, values, 1); });
+    }
+    const auto ingest = Interleave(ingest_arms);
+    std::printf("\n%-6s %-38s %-38s %s\n", "batch", "coalesced up/s",
+                "faithful up/s", "speedup");
+    for (std::size_t b = 0; b < batch_sizes.size(); ++b) {
+      std::printf(
+          "%-6d %-38s %-38s %s\n", batch_sizes[b],
+          Describe(Summarize(ingest[2 * b]), "%.0f").c_str(),
+          Describe(Summarize(ingest[2 * b + 1]), "%.0f").c_str(),
+          Describe(Summarize(Ratios(ingest[2 * b], ingest[2 * b + 1])))
+              .c_str());
+    }
   }
-  std::printf("\n%-12s%18s%18s%12s\n", "batch", "coalesced up/s",
-              "faithful up/s", "speedup");
-  std::vector<double> on_ups, off_ups;
-  for (const double b : batch_sizes) {
-    const int batch = static_cast<int>(b);
-    const double on = MeasureIngest(values, batch, /*coalesce=*/true);
-    const double off = MeasureIngest(values, batch, /*coalesce=*/false);
-    on_ups.push_back(on);
-    off_ups.push_back(off);
-    std::printf("%-12d%18.0f%18.0f%12.2f\n", batch, on, off, on / off);
-    std::fflush(stdout);
-  }
-  EmitJsonSeries("micro_merge_pipeline", "ingest_ups_coalesced", batch_sizes,
-                 on_ups);
-  EmitJsonSeries("micro_merge_pipeline", "ingest_ups_faithful", batch_sizes,
-                 off_ups);
 
   std::printf(ok ? "micro_merge_pipeline: PASS\n"
                  : "micro_merge_pipeline: FAIL\n");

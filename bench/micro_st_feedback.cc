@@ -16,10 +16,9 @@
 //      the per-feedback training-error trajectory at geometric
 //      checkpoints, which is the convergence story in one series.
 //
-// Flags: the shared bench flags (--quick, --json).
+// Flags: the shared bench flags (--quick).
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -33,8 +32,7 @@
 namespace {
 
 using namespace dynhist;
-
-using Clock = std::chrono::steady_clock;
+using bench::Clock;
 
 constexpr std::int64_t kDomain = 5'000;
 
@@ -114,17 +112,16 @@ int main(int argc, char** argv) {
         next_checkpoint *= 4;
       }
     }
-    const double seconds =
-        std::chrono::duration<double>(Clock::now() - start).count();
+    const double seconds = bench::SecondsSince(start);
     std::printf("st_feedback: %d ApplyFeedback in %.3fs (%.0f/sec), %llu restructures\n",
                 train_queries, seconds,
                 static_cast<double>(train_queries) / seconds,
                 static_cast<unsigned long long>(trained.restructures()));
-    bench::EmitJsonSeries("micro_st_feedback", "train_error_windowed",
-                          checkpoint_x, checkpoint_err);
-    bench::EmitJsonSeries(
-        "micro_st_feedback", "feedback_throughput_per_sec", {1.0},
-        {static_cast<double>(train_queries) / seconds});
+    std::printf("st_feedback: windowed training error by feedback count:");
+    for (std::size_t i = 0; i < checkpoint_x.size(); ++i) {
+      std::printf(" %.0f:%.1f", checkpoint_x[i], checkpoint_err[i]);
+    }
+    std::printf("\n");
   }
 
   // Untrained baseline: same equi-width layout, told only total mass.
@@ -140,8 +137,6 @@ int main(int argc, char** argv) {
   const double ratio = baseline_mae / trained_mae;
   std::printf("st_feedback: trained MAE %.1f vs untrained equi-width %.1f (%.1fx)\n",
               trained_mae, baseline_mae, ratio);
-  bench::EmitJsonSeries("micro_st_feedback", "accuracy_vs_untrained_x",
-                        {1.0}, {ratio});
   if (ratio < 2.0) {
     std::printf("st_feedback: FAIL accuracy gate (%.2fx < 2x)\n", ratio);
     failed = true;
@@ -163,8 +158,7 @@ int main(int argc, char** argv) {
     for (const RangeTruth& q : workload) {
       engine.RecordFeedback(handle, q.lo, q.hi, q.actual);
     }
-    const double seconds =
-        std::chrono::duration<double>(Clock::now() - start).count();
+    const double seconds = bench::SecondsSince(start);
     const engine::EngineSnapshot merged = engine.RefreshSnapshot("k");
     const double merged_mae = MeanAbsError(merged.model(), eval);
     const double merge_ratio = merged_mae / trained_mae;
@@ -172,11 +166,6 @@ int main(int argc, char** argv) {
         "st_feedback: 4-shard merged MAE %.1f (%.3fx of unmerged), engine feedback %.0f ops/sec\n",
         merged_mae, merge_ratio,
         static_cast<double>(train_queries) / seconds);
-    bench::EmitJsonSeries("micro_st_feedback", "merged_over_unmerged_mae",
-                          {1.0}, {merge_ratio});
-    bench::EmitJsonSeries(
-        "micro_st_feedback", "engine_feedback_throughput_per_sec", {1.0},
-        {static_cast<double>(train_queries) / seconds});
     if (merge_ratio > 1.10) {
       std::printf("st_feedback: FAIL merge gate (%.3fx > 1.10x)\n",
                   merge_ratio);

@@ -1,45 +1,58 @@
 #!/usr/bin/env bash
-# One-command regression check: check the include dependency direction
-# (scripts/check_deps.sh: histogram/ <- engine/ <- distributed/),
-# configure, build, run the full test suite, then smoke-run the merge-pipeline, concurrent-engine, and distributed
-# frame micro-benchmarks in quick mode (micro_merge_pipeline exits
-# nonzero if the publish-path speedup or parity criteria regress;
-# micro_engine_throughput exits nonzero if async publish stops cutting
-# boundary-op p99 latency >= 5x, if telemetry costs more than 5% of
-# ingest throughput, or if the compiled-snapshot query path drops below
-# 6x the snapshot piece-walk baseline; micro_dist_frames exits nonzero if
-# loopback frame ingest falls under 10k frames/sec or duplicate frames
-# cause any merges; micro_st_feedback exits nonzero if feedback-trained
-# accuracy falls under 2x the untrained equi-width baseline or the
-# 4-shard merged model drifts more than 10% from unmerged), and finally
-# the multi-process loopback smoke test
-# (scripts/loopback_smoke.sh: real server + client over 127.0.0.1 with
-# bit-identical and idempotence gates) and the repository benchmark's
-# self-test (perfbench/run.py --self-test: exits nonzero when a
-# workload's output checks fail) and the A/B script's self-test
-# (scripts/perf_ab.py --self-test: its statistics and verdicts).
+# One-command regression check: the tier-1 sequence from ROADMAP.md plus
+# the quick micro-bench gates, a loopback smoke test and two self-tests,
+# so a single run catches build breaks, unit/concurrency regressions, and
+# gross merge-pipeline / engine / wire / accuracy regressions. Steps:
 #
-# Usage: scripts/check.sh [--bench-json] [--metrics-json] [build_dir]
+#   dependency direction  scripts/check_deps.sh fails when a lower layer
+#                         includes a higher one (histogram/ <- engine/ <-
+#                         distributed/).
+#   configure, build, ctest (the full test suite).
+#   quick bench gates     each bench exits nonzero when a gate fails.
+#   loopback smoke        scripts/loopback_smoke.sh: a real engine_server
+#                         --serve process against engine_client over
+#                         127.0.0.1; fails unless wire estimates are
+#                         bit-identical to the in-process merge and a
+#                         forced re-ship is all duplicates.
+#   benchmark self-test   perfbench/run.py --self-test: builds perfbench
+#                         into .bench_build/ and fails when a workload's
+#                         output checks (mass conservation, epochs, wire
+#                         answers equal to the in-process merge) fail.
+#   A/B self-test         scripts/perf_ab.py --self-test: the statistics
+#                         and verdicts of the alternating A/B runner.
+#   metrics dump          with --metrics-json only: scripts/metrics_dump.sh
+#                         writes the engine's Prometheus exposition and
+#                         trace (METRICS_PR5.prom / TRACE_PR5.json) at the
+#                         repo root and fails when the exposition flunks
+#                         its format self-check.
+#
+# The gates. Every timed gate takes its statistic from the benches' one
+# timing helper (bench/bench_util.h): after a warm-up round, 19 rounds in
+# which the arm that has run the least takes the next step until each has
+# run for at least 200 ms, so cheap and costly arms share one stretch of
+# wall-clock time. A ratio gate decides on the median of the 19 per-round
+# ratios, and each gate prints its statistic as median [p25, p75] n.
+#
+#   micro_merge_pipeline
+#     publish speedup, pieces path over cell reference, domain 1e6  >= 10x
+#     pieces publish growth, largest over smallest domain           <= 20x
+#     mass parity (relative) and KS parity with the cell reference  <= 1e-9
+#   micro_engine_throughput
+#     telemetry overhead, 1-writer ingest, on vs off                <= 5%
+#     boundary-op p99 ingest latency, sync over async (manual pump) >= 5x
+#     1-reader queries: raw arena over snapshot piece walk          >= 6x
+#     1-reader queries: cached-handle batches over raw arena        >= 0.85x
+#     1-reader queries: cached-handle batches over string key       >= 3x
+#     lease misses == handle reader threads                         (exact)
+#   micro_dist_frames
+#     loopback frame ingest, best depth's median                    >= 10k/s
+#     merges caused by re-sent duplicate frames                     == 0
+#   micro_st_feedback (one-shot, deterministic)
+#     feedback-trained accuracy over untrained equi-width baseline  >= 2x
+#     4-shard merged error over unmerged                            <= 1.10x
+#
+# Usage: scripts/check.sh [--metrics-json] [build_dir]
 #   (default build dir: build)
-#
-# --bench-json additionally captures the benches' machine-readable series
-# (one JSON object per line) into BENCH_PR10.json at the repo root — the
-# perf-trajectory record (BENCH_PR2..PR9.json hold the
-# earlier-era series). The file leads with a `_meta` line recording the
-# capture environment: the core count `nproc` reports, and a note on what
-# the multi-thread series measure at that count (on one core,
-# batching/pipelining wins only; on several, parallel scaling too).
-#
-# --metrics-json additionally runs scripts/metrics_dump.sh after the
-# benches, dropping the engine's Prometheus exposition and its trace
-# (METRICS_PR5.prom / TRACE_PR5.json, the latter the JSON the flag is
-# named for) at the repo root next to the BENCH_*.json series. The dump
-# runs the Prometheus format self-check and the whole check fails if the
-# exposition does.
-#
-# This is the tier-1 sequence from ROADMAP.md plus the benches, so a single
-# run catches build breaks, unit/concurrency regressions, and gross
-# merge-pipeline / engine throughput / accuracy regressions.
 
 set -euo pipefail
 
@@ -56,12 +69,10 @@ if [[ -e CMakeCache.txt || -d CMakeFiles ]]; then
   exit 2
 fi
 
-BENCH_JSON=0
 METRICS_JSON=0
 BUILD_DIR=build
 for arg in "$@"; do
   case "$arg" in
-    --bench-json) BENCH_JSON=1 ;;
     --metrics-json) METRICS_JSON=1 ;;
     --*) echo "check.sh: unknown flag '$arg'" >&2; exit 2 ;;
     *) BUILD_DIR="$arg" ;;
@@ -85,43 +96,17 @@ cmake --build "$BUILD_DIR" -j "$JOBS"
 echo "== ctest =="
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS"
 
-run_bench() {
-  # Runs a bench, teeing its stdout; with --bench-json the JSON series
-  # lines (and only those) are appended to BENCH_PR10.json.
-  if [[ "$BENCH_JSON" == 1 ]]; then
-    "$@" --json | tee /dev/stderr | grep '^{' >> BENCH_PR10.json
-  else
-    "$@"
-  fi
-}
-
-if [[ "$BENCH_JSON" == 1 ]]; then
-  CORES="$(nproc 2>/dev/null || echo 1)"
-  if [[ "$CORES" -gt 1 ]]; then
-    NOTE="captured on $CORES cores; the multi-thread series measure parallel scaling as well as batching/pipelining"
-  else
-    NOTE="captured on 1 core; the multi-thread series measure batching/pipelining, not parallel scaling"
-  fi
-  printf '{"bench":"_meta","series":"environment","cores":%s,"note":"%s"}\n' \
-    "$CORES" "$NOTE" > BENCH_PR10.json
-fi
-
 echo "== merge-pipeline micro-bench (quick) =="
-run_bench "$BUILD_DIR/micro_merge_pipeline" --quick
+"$BUILD_DIR/micro_merge_pipeline" --quick
 
 echo "== engine micro-bench (quick) =="
-run_bench "$BUILD_DIR/micro_engine_throughput" --quick
+"$BUILD_DIR/micro_engine_throughput" --quick
 
 echo "== distributed frame micro-bench (quick) =="
-# Exits nonzero if loopback frame ingest drops below 10k frames/sec on
-# one core or if duplicate frames cause any merges at all.
-run_bench "$BUILD_DIR/micro_dist_frames" --quick
+"$BUILD_DIR/micro_dist_frames" --quick
 
 echo "== self-tuning feedback micro-bench (quick) =="
-# Exits nonzero if the feedback-trained model is not >= 2x better than
-# the untrained equi-width baseline or the 4-shard merged model drifts
-# more than 10% from the unmerged one.
-run_bench "$BUILD_DIR/micro_st_feedback" --quick
+"$BUILD_DIR/micro_st_feedback" --quick
 
 echo "== loopback smoke (server + client over 127.0.0.1) =="
 scripts/loopback_smoke.sh "$BUILD_DIR"
@@ -134,10 +119,6 @@ python3 perfbench/run.py --self-test
 echo "== A/B comparison self-test (scripts/perf_ab.py) =="
 # Checks the A/B script's statistics and verdicts; runs no benchmark.
 python3 scripts/perf_ab.py --self-test
-
-if [[ "$BENCH_JSON" == 1 ]]; then
-  echo "== bench series written to BENCH_PR10.json =="
-fi
 
 if [[ "$METRICS_JSON" == 1 ]]; then
   echo "== metrics dump (exposition self-check gate) =="

@@ -95,7 +95,7 @@ Aggregator::IngestResult Aggregator::Ingest(std::string_view frame_bytes,
   std::uint64_t watermark = 0;
   for (const SiteMark& mark : entry.sites) watermark += mark.watermark;
   HistogramModel merged =
-      entry.merger.MergeAndReduce(entry.models, options_.merged_buckets);
+      merger_.MergeAndReduce(entry.models, options_.merged_buckets);
   merges_.fetch_add(1);
   engine_.PublishExternal(decoded.header.key, std::move(merged), watermark);
   return IngestResult::kApplied;

@@ -116,7 +116,6 @@ class Aggregator {
   struct KeyEntry {
     std::vector<SiteMark> sites;
     std::vector<HistogramModel> models;
-    SnapshotMerger merger;
   };
 
   // Per-site telemetry.
@@ -135,6 +134,8 @@ class Aggregator {
   mutable std::mutex mu_;
   std::unordered_map<std::string, KeyEntry> keys_;      // guarded by mu_
   std::map<std::uint32_t, SiteStats> site_stats_;       // guarded by mu_
+  // The sweep's scratch, shared by every key: all merges run under mu_.
+  SnapshotMerger merger_;                               // guarded by mu_
 
   std::atomic<std::uint64_t> frames_received_{0};
   std::atomic<std::uint64_t> frames_applied_{0};
