@@ -17,7 +17,7 @@
 // assembled from everything the writers actually did.
 //
 // The run also demonstrates the telemetry subsystem: per-key stats
-// (Stats(key).ToJson()) are printed, and the engine's metrics
+// (Stats(handle)) are printed, and the engine's metrics
 // exposition / trace ring can be dumped to files:
 //   --metrics-out=PATH       Prometheus text exposition
 //   --trace-out=PATH         chrome://tracing event dump
@@ -328,10 +328,21 @@ int main(int argc, char** argv) {
 
   // Observability: per-key stats and the metrics exposition endpoint.
   // Stats through the same handles the readers queried with.
+  const auto print_stats = [](const char* key, const EngineStats& s) {
+    const auto n = [](std::uint64_t v) {
+      return static_cast<unsigned long long>(v);
+    };
+    std::printf("stats[%s]: %llu inserts, %llu deletes, %llu queries, "
+                "%llu publishes (%llu async, %llu coalesced trips), "
+                "epoch %llu\n",
+                key, n(s.inserts), n(s.deletes), n(s.queries),
+                n(s.publishes), n(s.async_publishes), n(s.publish_coalesced),
+                n(s.snapshot_epoch));
+  };
   const EngineStats hot_stats = engine.Stats(hot_handle);
-  std::printf("\nstats[%s]:  %s\n", kKey, hot_stats.ToJson().c_str());
-  std::printf("stats[%s]: %s\n", kColdKey,
-              engine.Stats(cold_handle).ToJson().c_str());
+  std::printf("\n");
+  print_stats(kKey, hot_stats);
+  print_stats(kColdKey, engine.Stats(cold_handle));
   std::printf("lease cache: %llu hits, %llu misses (%.4f%% of reads "
               "touched the shared_ptr)\n",
               static_cast<unsigned long long>(hot_stats.lease_hits),

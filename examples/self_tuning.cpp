@@ -3,7 +3,7 @@
 //
 // The scenario: the optimizer estimates a predicate's cardinality from
 // the published snapshot, the executor runs the query and observes the
-// real count, and QueryFeedbackLoop reports that observation back via
+// real count, and the session reports that observation back via
 // HistogramEngine::RecordFeedback. The ST-FEEDBACK backend folds each
 // damped error into the overlapping buckets and periodically splits the
 // runaway ones (funded by merging near-equal neighbors), so the key
@@ -15,6 +15,7 @@
 //   3. watching the mean absolute error fall as the key self-tunes,
 //   4. the feedback telemetry (counters + error histogram) on the side.
 
+#include <cmath>
 #include <cstdio>
 
 #include "src/dynhist.h"
@@ -42,27 +43,30 @@ int main() {
   options.st_feedback.domain_hi = kDomain - 1;
   engine::HistogramEngine engine(options);
 
-  QueryFeedbackLoop loop(&engine, "orders.amount");
+  // The session resolves the key once and queries through the handle.
+  const engine::KeyHandle handle = engine.Resolve("orders.amount");
 
   // The optimizer session: skewed range predicates, each answered by
   // the executor (here: the hidden FrequencyVector), each observation
   // training the key a little more.
   Rng query_rng(7);
   for (int batch = 0; batch < 5; ++batch) {
-    loop.ResetStats();
+    double abs_error_sum = 0.0;
     for (int q = 0; q < 800; ++q) {
       const auto center = static_cast<std::int64_t>(zipf.Sample(query_rng));
       const std::int64_t width = query_rng.UniformInt(1, 200);
       const std::int64_t lo = std::max<std::int64_t>(0, center - width / 2);
       const std::int64_t hi = std::min<std::int64_t>(kDomain - 1, lo + width);
       // Estimate (what the planner would use), then observe the truth.
-      loop.ObserveRange(lo, hi,
-                        static_cast<double>(relation.RangeCount(lo, hi)));
+      const double estimate = engine.EstimateRange(handle, lo, hi);
+      const auto actual = static_cast<double>(relation.RangeCount(lo, hi));
+      engine.RecordFeedback(handle, lo, hi, actual);
+      abs_error_sum += std::fabs(estimate - actual);
     }
     engine.RefreshSnapshot("orders.amount");
     std::printf("after %4llu observations: mean |estimate - actual| = %8.1f\n",
                 static_cast<unsigned long long>((batch + 1) * 800),
-                loop.MeanAbsError());
+                abs_error_sum / 800.0);
   }
 
   // The trained model answers like a data-built histogram would.

@@ -8,11 +8,12 @@
 namespace dynhist::distributed {
 namespace {
 
+// Options of the global-view engine. Nothing flows through its shards:
+// the aggregator publishes externally, so ingest cadence and async
+// machinery are dead weight.
 engine::EngineOptions GlobalViewDefaults() {
   engine::EngineOptions o;
-  // Nothing flows through this engine's shards: the aggregator
-  // publishes externally, so ingest cadence and async machinery are
-  // dead weight. One shard per key is enough: a key builds every shard's
+  // One shard per key is enough: a key builds every shard's
   // histogram at creation, and 8 empty DADO shards nearly double the
   // memory of a key holding one 64-piece view. Compilation stays on —
   // the whole point is that global queries ride the arena fast path.
@@ -25,12 +26,12 @@ engine::EngineOptions GlobalViewDefaults() {
 
 }  // namespace
 
-Aggregator::Options::Options() : engine(GlobalViewDefaults()) {}
+Aggregator::Aggregator() : Aggregator(Options()) {}
 
 Aggregator::Aggregator(Options options)
-    : options_(std::move(options)),
+    : options_(options),
       start_(std::chrono::steady_clock::now()),
-      engine_(options_.engine) {}
+      engine_(GlobalViewDefaults()) {}
 
 std::uint64_t Aggregator::NowNs() const {
   return static_cast<std::uint64_t>(

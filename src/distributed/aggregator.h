@@ -37,7 +37,6 @@
 #include <vector>
 
 #include "src/distributed/frame.h"
-#include "src/engine/engine_options.h"
 #include "src/engine/histogram_engine.h"
 #include "src/histogram/merge.h"
 
@@ -49,14 +48,6 @@ class Aggregator {
     /// Bucket budget of the published global view (<= 0 keeps the
     /// unreduced composite).
     std::int64_t merged_buckets = 64;
-
-    /// Options of the global-view engine. The aggregator publishes
-    /// through PublishExternal and nothing flows through shards, so the
-    /// defaults give each key one shard and disable ingest-side cadence
-    /// and async publication.
-    engine::EngineOptions engine;
-
-    Options();
   };
 
   /// What happened to one ingested frame.
@@ -67,7 +58,8 @@ class Aggregator {
     kRejected,   ///< frame failed validation (see the FrameError)
   };
 
-  explicit Aggregator(Options options = Options());
+  Aggregator();  // default Options
+  explicit Aggregator(Options options);
 
   /// Decodes and applies one frame. Thread-safe; applied frames
   /// republish the key's global view before returning (the sender's

@@ -53,7 +53,6 @@
 #include "src/engine/key_handle.h"         // IWYU pragma: export
 #include "src/engine/shard.h"              // IWYU pragma: export
 #include "src/engine/snapshot.h"           // IWYU pragma: export
-#include "src/estimate/feedback_loop.h"    // IWYU pragma: export
 #include "src/estimate/selectivity.h"      // IWYU pragma: export
 #include "src/metrics/ks.h"                // IWYU pragma: export
 #include "src/metrics/query_error.h"       // IWYU pragma: export

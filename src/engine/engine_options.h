@@ -36,7 +36,16 @@ struct EngineOptions {
   int shards = 8;
 
   /// Operations buffered per shard before the shard's histogram lock is
-  /// taken and the batch applied. 1 applies every update immediately.
+  /// taken and the batch applied. Each drained batch collapses duplicate
+  /// values into weighted InsertN/DeleteN calls (inserts before deletes
+  /// per value, values in first-occurrence order, grouped in one pass
+  /// through a small hash table), so batch cost tracks distinct values
+  /// rather than operations — a large win for skewed streams. Coalescing
+  /// reorders operations across values inside one batch and takes
+  /// weighted maintenance steps, so the exact bucket-border trajectory
+  /// differs from a one-by-one replay (estimation quality and total mass
+  /// do not). 1 applies every update immediately and replays ops one by
+  /// one in push order.
   int batch_size = 64;
 
   /// Updates (per key) between automatic snapshot publications. 0 disables
@@ -64,17 +73,6 @@ struct EngineOptions {
   /// ignored — `shard_buckets` sizes every shard kind uniformly.
   StFeedbackConfig st_feedback{};
 
-  /// Collapse duplicate values in each drained shard batch into weighted
-  /// InsertN/DeleteN calls (inserts before deletes per value, values in
-  /// first-occurrence order, grouped in one pass through a small hash
-  /// table), so batch cost tracks distinct values rather than operations —
-  /// a large win for skewed streams. Coalescing reorders operations across
-  /// values inside one batch and takes weighted maintenance steps, so the
-  /// exact bucket-border trajectory differs from a one-by-one replay
-  /// (estimation quality and total mass do not). Disable for op-order
-  /// faithful replay.
-  bool coalesce_batches = true;
-
   /// Publish off the writer thread: when a key's `snapshot_every` cadence
   /// fires, the writer enqueues a publish request onto a bounded queue and
   /// returns immediately; merge workers drain the queue, coalescing
@@ -97,19 +95,14 @@ struct EngineOptions {
   int publish_queue_capacity = 1024;
 
   /// Telemetry (src/telemetry/): latency/size distributions, the event
-  /// trace ring, and queue-wait accounting. False skips every recording
+  /// trace ring (the newest 4096 publish/merge/flush/reject events, which
+  /// HistogramEngine::WriteTraceJson dumps as a chrome://tracing
+  /// document), and queue-wait accounting. False skips every recording
   /// site — the distributions stay empty and queue-wait counters stay 0,
   /// the overhead bench's baseline mode — while the EngineStats counters
   /// (which predate telemetry and are the publish cadence's bookkeeping)
   /// are always maintained.
   bool enable_telemetry = true;
-
-  /// Capacity (events, rounded up to a power of two) of the trace ring
-  /// recording publish/merge/flush/reject events; the newest events
-  /// survive and HistogramEngine::WriteTraceJson dumps them as a
-  /// chrome://tracing document. 0 disables tracing. Ignored (treated as
-  /// 0) when enable_telemetry is false.
-  int trace_capacity = 4096;
 };
 
 }  // namespace dynhist::engine

@@ -39,17 +39,28 @@ void BumpMax(std::atomic<std::uint64_t>& cell, std::uint64_t value) {
   }
 }
 
+// The trace ring's capacity (events) when telemetry is on.
+constexpr std::size_t kTraceEvents = 4096;
+
+// The key's update count: its accepted inserts, deletes and feedbacks.
+// Each is bumped right after its op is pushed, so every op the sum counts
+// is already in a shard when a publication exports.
+std::uint64_t UpdateCount(const internal::KeyState& state) {
+  return state.counters.inserts.load(std::memory_order_relaxed) +
+         state.counters.deletes.load(std::memory_order_relaxed) +
+         state.counters.feedbacks.load(std::memory_order_relaxed);
+}
+
 // Every per-key counter, listed once: the KeyCounters cell that counts
-// it, the EngineStats field that sums it (ToJson prints it as `name`),
-// its per-key series and its engine-wide series. Stats(), ToJson() and
-// CollectMetrics() loop over this table; the EngineStats fields that are
-// not plain sums of a cell (keys, unknown_queries, max_publish_nanos,
-// snapshot_epoch) are handled beside it.
+// it, the EngineStats field that sums it, its per-key series and its
+// engine-wide series. Stats() and CollectMetrics() loop over this table;
+// the EngineStats fields that are not plain sums of a cell (keys,
+// unknown_queries, max_publish_nanos, snapshot_epoch) are handled beside
+// it.
 using internal::KeyCounters;
 struct CounterRow {
   std::atomic<std::uint64_t> KeyCounters::*cell;
   std::uint64_t EngineStats::*field;
-  const char* name;
   const char* key_series;
   const char* engine_series;  // nullptr: per-key series only
   const char* key_help;
@@ -60,90 +71,74 @@ struct CounterRow {
 constexpr const char* kRejectedHelp =
     "Caller operations dropped as invalid input, by reason";
 constexpr CounterRow kCounters[] = {
-    {&KeyCounters::inserts, &EngineStats::inserts, "inserts",
+    {&KeyCounters::inserts, &EngineStats::inserts,
      "dynhist_key_inserts_total", "dynhist_engine_inserts_total",
      "Insert() calls accepted"},
-    {&KeyCounters::deletes, &EngineStats::deletes, "deletes",
+    {&KeyCounters::deletes, &EngineStats::deletes,
      "dynhist_key_deletes_total", "dynhist_engine_deletes_total",
      "Delete() calls accepted"},
-    {&KeyCounters::feedbacks, &EngineStats::feedbacks, "feedbacks",
+    {&KeyCounters::feedbacks, &EngineStats::feedbacks,
      "dynhist_key_feedbacks_total", "dynhist_engine_feedbacks_total",
      "RecordFeedback() observations accepted"},
     {&KeyCounters::rejected_feedbacks, &EngineStats::rejected_feedbacks,
-     "rejected_feedbacks", "dynhist_key_rejected_ops_total", nullptr,
+     "dynhist_key_rejected_ops_total", nullptr,
      kRejectedHelp, nullptr, "feedback"},
     {&KeyCounters::rejected_values, &EngineStats::rejected_values,
-     "rejected_values", "dynhist_key_rejected_ops_total", nullptr,
+     "dynhist_key_rejected_ops_total", nullptr,
      kRejectedHelp, nullptr, "domain"},
-    {&KeyCounters::queries, &EngineStats::queries, "queries",
+    {&KeyCounters::queries, &EngineStats::queries,
      "dynhist_key_queries_total", "dynhist_engine_queries_total",
      "Snapshot/estimate reads served",
      "Snapshot/estimate reads served (unknown keys included)"},
-    {&KeyCounters::lease_hits, &EngineStats::lease_hits, "lease_hits",
+    {&KeyCounters::lease_hits, &EngineStats::lease_hits,
      "dynhist_key_snapshot_lease_hits_total",
      "dynhist_snapshot_lease_hits_total",
      "Handle-path lease revalidations served from the thread-local cache "
      "(no shared_ptr traffic)",
      "Lease revalidations served from thread-local caches (no shared_ptr "
      "traffic)"},
-    {&KeyCounters::lease_misses, &EngineStats::lease_misses, "lease_misses",
+    {&KeyCounters::lease_misses, &EngineStats::lease_misses,
      "dynhist_key_snapshot_lease_misses_total",
      "dynhist_snapshot_lease_misses_total",
      "Handle-path lease revalidations that re-acquired the published "
      "snapshot (version moved, cold slot, or evicted)",
      "Lease revalidations that re-acquired the published snapshot"},
-    {&KeyCounters::publishes, &EngineStats::publishes, "publishes",
+    {&KeyCounters::publishes, &EngineStats::publishes,
      "dynhist_key_publishes_total", "dynhist_engine_publishes_total",
      "Snapshot publications", "Snapshot publications across all keys"},
     {&KeyCounters::async_publishes, &EngineStats::async_publishes,
-     "async_publishes", "dynhist_key_async_publishes_total",
+     "dynhist_key_async_publishes_total",
      "dynhist_engine_async_publishes_total",
      "Publications run off the publish queue"},
     {&KeyCounters::publish_queued, &EngineStats::publish_queued,
-     "publish_queued", "dynhist_key_publish_queued_total",
+     "dynhist_key_publish_queued_total",
      "dynhist_engine_publish_queued_total",
      "Publish requests accepted onto the queue"},
     {&KeyCounters::publish_coalesced, &EngineStats::publish_coalesced,
-     "publish_coalesced", "dynhist_key_publish_coalesced_total",
+     "dynhist_key_publish_coalesced_total",
      "dynhist_engine_publish_coalesced_total",
      "Cadence trips absorbed by an already-pending request"},
     {&KeyCounters::publish_rejected, &EngineStats::publish_rejected,
-     "publish_rejected", "dynhist_key_publish_rejected_total",
+     "dynhist_key_publish_rejected_total",
      "dynhist_engine_publish_rejected_total",
      "Publish requests dropped because the queue was full"},
     {&KeyCounters::publish_skipped, &EngineStats::publish_skipped,
-     "publish_skipped", "dynhist_key_publish_skipped_total",
+     "dynhist_key_publish_skipped_total",
      "dynhist_engine_publish_skipped_total",
      "Drained requests elided because a newer publication covered them"},
     {&KeyCounters::publish_nanos, &EngineStats::publish_nanos,
-     "publish_nanos", "dynhist_key_publish_nanos_total",
+     "dynhist_key_publish_nanos_total",
      "dynhist_engine_publish_nanos_total",
      "Total nanoseconds spent publishing this key",
      "Total nanoseconds spent publishing"},
     {&KeyCounters::queue_wait_nanos, &EngineStats::queue_wait_nanos,
-     "queue_wait_nanos", "dynhist_key_queue_wait_nanos_total",
+     "dynhist_key_queue_wait_nanos_total",
      "dynhist_engine_queue_wait_nanos_total",
      "Total nanoseconds this key's requests sat queued",
      "Total nanoseconds publish requests sat queued"},
 };
 
 }  // namespace
-
-std::string EngineStats::ToJson() const {
-  std::string json = "{\"keys\":" + std::to_string(keys);
-  const auto field = [&json](const char* name, std::uint64_t value) {
-    json += ",\"";
-    json += name;
-    json += "\":";
-    json += std::to_string(value);
-  };
-  for (const CounterRow& row : kCounters) field(row.name, this->*row.field);
-  field("unknown_queries", unknown_queries);
-  field("max_publish_nanos", max_publish_nanos);
-  field("snapshot_epoch", snapshot_epoch);
-  json += '}';
-  return json;
-}
 
 internal::KeyState::KeyState(std::string key_name,
                              const EngineOptions& options,
@@ -160,16 +155,13 @@ HistogramEngine::HistogramEngine(const EngineOptions& options)
     : options_(options),
       telemetry_on_(options.enable_telemetry),
       engine_id_(NextEngineId()),
-      trace_(telemetry_on_ && options.trace_capacity > 0
-                 ? static_cast<std::size_t>(options.trace_capacity)
-                 : 0) {
+      trace_(telemetry_on_ ? kTraceEvents : 0) {
   DH_CHECK(options_.shards >= 1);
   DH_CHECK(options_.batch_size >= 1);
   DH_CHECK(options_.snapshot_every >= 0);
   DH_CHECK(options_.merged_buckets >= 0);
   DH_CHECK(options_.merge_workers >= 0);
   DH_CHECK(options_.publish_queue_capacity >= 0);
-  DH_CHECK(options_.trace_capacity >= 0);
 }
 
 HistogramEngine::~HistogramEngine() {
@@ -211,35 +203,32 @@ EngineShard& HistogramEngine::ShardFor(KeyState& state,
   return *state.shards[ShardIndexFor(state, value)];
 }
 
-HistogramEngine::KeyState* HistogramEngine::Update(std::string_view key,
-                                                   const UpdateOp& op) {
+void HistogramEngine::Update(std::string_view key, const UpdateOp& op) {
   KeyState* state = FindOrCreateKey(key);
   // Caller input, not an invariant: an out-of-domain value would publish
   // a zero-width piece and abort the process, so it is dropped and
   // counted before it reaches a shard or the publish cadence.
   if (!InValueDomain(op.value)) {
     state->counters.rejected_values.fetch_add(1, std::memory_order_release);
-    return nullptr;
+    return;
   }
   ShardFor(*state, op.value).Push(op);
-  state->update_count.fetch_add(1, std::memory_order_relaxed);
+  // Each counter increment follows the counted work (here and below): the
+  // release store must carry the operation's writes for the EngineStats
+  // acquire-read contract to hold, and the cadence then reads the count.
+  std::atomic<std::uint64_t>& counter = op.kind == UpdateOp::Kind::kInsert
+                                            ? state->counters.inserts
+                                            : state->counters.deletes;
+  counter.fetch_add(1, std::memory_order_release);
   MaybeAutoPublish(*state);
-  return state;
 }
 
 void HistogramEngine::Insert(std::string_view key, std::int64_t value) {
-  // Each counter increment follows the counted work (here and below): the
-  // release store must carry the operation's writes for the EngineStats
-  // acquire-read contract to hold.
-  if (KeyState* state = Update(key, UpdateOp::Insert(value))) {
-    state->counters.inserts.fetch_add(1, std::memory_order_release);
-  }
+  Update(key, UpdateOp::Insert(value));
 }
 
 void HistogramEngine::Delete(std::string_view key, std::int64_t value) {
-  if (KeyState* state = Update(key, UpdateOp::Delete(value))) {
-    state->counters.deletes.fetch_add(1, std::memory_order_release);
-  }
+  Update(key, UpdateOp::Delete(value));
 }
 
 void HistogramEngine::InsertBatch(std::string_view key,
@@ -266,7 +255,6 @@ void HistogramEngine::InsertBatch(std::string_view key,
     state->shards[s]->PushMany(per_shard[s]);
   }
   state->counters.inserts.fetch_add(accepted, std::memory_order_release);
-  state->update_count.fetch_add(accepted, std::memory_order_relaxed);
   MaybeAutoPublish(*state);
 }
 
@@ -311,9 +299,8 @@ void HistogramEngine::RecordFeedback(const KeyHandle& handle, std::int64_t lo,
       actual / static_cast<double>(state.shards.size());
   const UpdateOp op = UpdateOp::Feedback(lo, hi, share);
   for (const auto& shard : state.shards) shard->Push(op);
-  state.update_count.fetch_add(1, std::memory_order_relaxed);
-  MaybeAutoPublish(state);
   state.counters.feedbacks.fetch_add(1, std::memory_order_release);
+  MaybeAutoPublish(state);
 }
 
 void HistogramEngine::Flush(std::string_view key) {
@@ -360,7 +347,7 @@ void HistogramEngine::RefreshAll() {
     for (const auto& [name, state] : registry_) states.push_back(state.get());
   }
   for (KeyState* state : states) {
-    if (state->update_count.load(std::memory_order_relaxed) >
+    if (UpdateCount(*state) >
         state->published_at.load(std::memory_order_relaxed)) {
       Publish(*state, "refresh");
     }
@@ -615,17 +602,14 @@ void HistogramEngine::CollectMetrics(telemetry::MetricsSnapshot* out) const {
     out->Add("dynhist_key_snapshot_epoch",
              "Published snapshot epoch (0 = never published)",
              MetricKind::kGauge, labels, key.snapshot_epoch);
-    const std::uint64_t version =
-        state->version.load(std::memory_order_relaxed);
     const std::uint64_t leased =
-        state->last_leased_version.load(std::memory_order_relaxed);
+        state->last_leased_epoch.load(std::memory_order_relaxed);
     out->Add("dynhist_key_lease_staleness_versions",
              "Publications not yet observed by any reader lease (0 while "
              "the reader fleet is current)",
              MetricKind::kGauge, labels,
-             version > leased ? version - leased : 0);
-    const std::uint64_t count =
-        state->update_count.load(std::memory_order_relaxed);
+             key.snapshot_epoch > leased ? key.snapshot_epoch - leased : 0);
+    const std::uint64_t count = UpdateCount(*state);
     const std::uint64_t published =
         state->published_at.load(std::memory_order_relaxed);
     out->Add("dynhist_key_staleness_updates",
@@ -713,8 +697,7 @@ void HistogramEngine::WriteTraceJson(std::string* out) const {
 void HistogramEngine::MaybeAutoPublish(KeyState& state) {
   const std::int64_t every = options_.snapshot_every;
   if (every <= 0) return;
-  const std::uint64_t count =
-      state.update_count.load(std::memory_order_relaxed);
+  const std::uint64_t count = UpdateCount(state);
   if (options_.async_publish &&
       !workers_stopped_.load(std::memory_order_acquire)) {
     // Async cadence measures from the newer of "last published" and "last
@@ -736,7 +719,7 @@ void HistogramEngine::MaybeAutoPublish(KeyState& state) {
   // duty is covered by that merge — don't convoy writers on the publisher.
   std::unique_lock<std::mutex> lock(state.publish_mu, std::try_to_lock);
   if (!lock.owns_lock()) return;
-  if (state.update_count.load(std::memory_order_relaxed) -
+  if (UpdateCount(state) -
           state.published_at.load(std::memory_order_relaxed) <
       static_cast<std::uint64_t>(every)) {
     return;  // lost the race to a concurrent publisher
@@ -923,8 +906,7 @@ EngineSnapshot HistogramEngine::Publish(
   const std::uint64_t start_ns = trace_.NowNs();
   // Conservative watermark: updates pushed after this load simply count
   // toward the next publication even if this merge happens to absorb them.
-  const std::uint64_t watermark =
-      state.update_count.load(std::memory_order_relaxed);
+  const std::uint64_t watermark = UpdateCount(state);
 
   std::vector<HistogramModel>& models = state.model_scratch;
   models.clear();
@@ -953,17 +935,17 @@ EngineSnapshot HistogramEngine::PublishModel(KeyState& state,
   // ingest medians), so the publish-latency envelope is unchanged.
   CompiledSnapshot compiled = CompiledSnapshot::Compile(model);
 
-  const std::uint64_t epoch =
-      state.epoch.fetch_add(1, std::memory_order_relaxed) + 1;
+  // The caller holds publish_mu, so this thread is the epoch's only
+  // writer. The new epoch is stored strictly AFTER the pointer swap: a
+  // reader that acquire-loads it is guaranteed to observe (at least) this
+  // publication in `published` — the invariant the thread-local lease
+  // cache's hit path and KeyHandle::epoch() rest on (snapshot_lease.h).
+  const std::uint64_t epoch = state.epoch.load(std::memory_order_relaxed) + 1;
   auto versioned = std::make_shared<const VersionedModel>(
       VersionedModel{std::move(model), epoch, watermark,
                      std::move(compiled)});
   state.published.store(versioned, std::memory_order_release);
-  // Lease validation stamp, bumped strictly AFTER the pointer swap: a
-  // reader that acquire-loads the new version is guaranteed to observe
-  // (at least) this publication in `published` — the invariant the
-  // thread-local lease cache's hit path rests on (snapshot_lease.h).
-  state.version.fetch_add(1, std::memory_order_release);
+  state.epoch.store(epoch, std::memory_order_release);
   // Also after the swap: a queued request that sees published_at covering
   // it is skipped, and DrainPublishes promises that the covering snapshot
   // is already visible.

@@ -91,9 +91,12 @@ inline constexpr std::int64_t kMaxValue = (std::int64_t{1} << 53) - 1;
 /// synchronization point.
 ///
 /// Memory-ordering contract: every counter is incremented with release
-/// ordering and read by Stats() with acquire ordering, so a counter value
-/// carries the writes that produced it (a reader that sees publishes == N
-/// also sees the Nth published snapshot). Counters are individually
+/// ordering after the work it counts and read by Stats() with acquire
+/// ordering, so a counter value carries the writes that produced it (a
+/// reader that sees publishes == N also sees the Nth published snapshot).
+/// The op counters (inserts, deletes, feedbacks) are bumped after the op
+/// is pushed to its shard and before the publish cadence check, which
+/// reads their sum as the key's update count. Counters are individually
 /// monotone, but mutually consistent only after a synchronization point —
 /// quiescence, DrainPublishes(), or StopPublishWorkers() — because they
 /// are not incremented under one lock.
@@ -119,7 +122,7 @@ struct EngineStats {
   // Epoch-pinned reader fast path (KeyHandle + thread-local lease
   // cache; see snapshot_lease.h). Every handle-path revalidation is
   // either a hit (cached snapshot reused — zero refcount traffic) or a
-  // miss (shared_ptr re-acquired because the key's version moved, the
+  // miss (shared_ptr re-acquired because the key's epoch moved, the
   // slot was cold, or it had been evicted). In steady state misses
   // track publications observed, not queries — the acceptance probe
   // that the hot path really performs no shared_ptr operations.
@@ -155,11 +158,6 @@ struct EngineStats {
   /// key advances its epoch by exactly 1) — a cheap cross-counter
   /// consistency probe for dumps.
   std::uint64_t snapshot_epoch = 0;
-
-  /// One-line JSON object with every field above, so benches, examples,
-  /// and log lines dump self-describing stats instead of ad-hoc printf
-  /// subsets.
-  std::string ToJson() const;
 };
 
 /// Thread-safe registry of sharded dynamic histograms.
@@ -235,7 +233,7 @@ class HistogramEngine {
   /// Publishes `model` verbatim as `key`'s next epoch, creating the key
   /// if needed — the distributed tier's entry point: the aggregator's
   /// merged global view enters the same publish tail as Publish (arena
-  /// compile, epoch bump, atomic swap, lease invalidation), so readers
+  /// compile, atomic swap, epoch store, lease invalidation), so readers
   /// ride the compiled-snapshot + KeyHandle fast path with no idea the
   /// model came off the wire. `watermark` is recorded on the snapshot
   /// verbatim (for an aggregator: the summed site watermarks).
@@ -304,11 +302,11 @@ class HistogramEngine {
   /// such as a server answering remote queries.
   KeyHandle Find(std::string_view key) const;
 
-  /// Estimates through a resolved handle: one relaxed version load
+  /// Estimates through a resolved handle: one relaxed epoch load
   /// revalidates this thread's snapshot lease, then the arena lookup —
   /// no registry lock and, on the steady-state hit path, no shared_ptr
   /// refcount traffic (the lease re-acquires only when the key's
-  /// version moved; see snapshot_lease.h for the ordering contract).
+  /// epoch moved; see snapshot_lease.h for the ordering contract).
   /// Bit-identical to the string-keyed reads.
   double EstimateRange(const KeyHandle& handle, std::int64_t lo,
                        std::int64_t hi) const;
@@ -331,7 +329,8 @@ class HistogramEngine {
   /// through the thread-local lease instead of re-acquiring from the
   /// registry. The returned EngineSnapshot copies the leased shared_ptr
   /// (one refcount op — the handoff price, not the steady-state one).
-  /// Per thread, epochs observed through one handle are monotone.
+  /// Per thread, epochs observed through one handle are monotone, and
+  /// never behind a KeyHandle::epoch() the thread read before the call.
   EngineSnapshot LeasedSnapshot(const KeyHandle& handle) const;
 
   /// Exact live mass currently absorbed by the shards of `key` (flushes
@@ -362,8 +361,8 @@ class HistogramEngine {
   /// chrome://tracing JSON document. Empty trace when tracing is off.
   void WriteTraceJson(std::string* out) const;
 
-  /// The engine's trace ring (diagnostic access; always valid, disabled
-  /// when EngineOptions::trace_capacity is 0 or telemetry is off).
+  /// The engine's trace ring (diagnostic access; always valid, holds the
+  /// newest 4096 events, disabled when telemetry is off).
   const telemetry::TraceRing& trace() const { return trace_; }
 
   const EngineOptions& options() const { return options_; }
@@ -414,12 +413,10 @@ class HistogramEngine {
   // flush: the body of Flush and FlushAll.
   void FlushShards(KeyState& state);
 
-  // Pushes one op, bumps the key's update count, and runs the publish
-  // cadence; returns the key's state so the caller can settle the
-  // insert/delete counter after the counted work. An op whose value is
-  // outside [kMinValue, kMaxValue] is counted as rejected instead, and
-  // nullptr returned.
-  KeyState* Update(std::string_view key, const UpdateOp& op);
+  // Pushes one insert or delete, bumps its counter, and runs the publish
+  // cadence. An op whose value is outside [kMinValue, kMaxValue] is
+  // counted as rejected instead.
+  void Update(std::string_view key, const UpdateOp& op);
 
   // After accepting new updates: publish (sync) or enqueue a publish
   // request (async) if the key's cadence says so.
@@ -453,9 +450,9 @@ class HistogramEngine {
   };
 
   // The publish tail shared by Publish and PublishExternal, run under the
-  // key's publish lock: compile `model`, bump the epoch, swap the
-  // snapshot in, bump the version, then settle counters and telemetry
-  // for a publication that began at `start_ns`. Publish passes its
+  // key's publish lock: compile `model`, swap it in as the next epoch's
+  // snapshot, store that epoch, then settle counters and telemetry for a
+  // publication that began at `start_ns`. Publish passes its
   // `head`: the key's published_at advances to `watermark` after the
   // swap, and the flush and merge trace events precede the publish
   // event. An external publication passes nullptr and leaves

@@ -5,7 +5,7 @@
 // internal state (KeyStates live behind unique_ptrs in a registry that
 // never erases, so the pointer is valid for the engine's lifetime). Every
 // query entry point has a handle overload; a steady-state read through a
-// handle costs one relaxed version load plus the arena lookup — no
+// handle costs one relaxed epoch load plus the arena lookup — no
 // registry lock, no shared_ptr refcount traffic (see snapshot_lease.h).
 //
 // This is the object a long-lived reader holds: an optimizer session, a
@@ -54,7 +54,9 @@ class KeyHandle {
   }
 
   /// The key's published snapshot epoch right now (0 = never published;
-  /// relaxed — diagnostic).
+  /// relaxed). The epoch is stored only after its snapshot is swapped
+  /// in, so a LeasedSnapshot taken after this call on the same thread
+  /// has at least this epoch.
   std::uint64_t epoch() const {
     return state_ == nullptr
                ? 0

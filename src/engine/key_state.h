@@ -1,7 +1,7 @@
 // Per-key engine state, hoisted to namespace scope so the reader fast
 // path can name it: a KeyHandle (key_handle.h) is a stable pointer to one
 // KeyState, and the thread-local snapshot lease cache (snapshot_lease.h)
-// validates its cached epoch against KeyState::version. Everything here
+// validates its cached snapshot against KeyState::epoch. Everything here
 // is owned and orchestrated by HistogramEngine — the struct is an
 // implementation detail published only through the internal namespace.
 //
@@ -31,7 +31,9 @@ namespace dynhist::engine::internal {
 /// One key's share of the EngineStats counters (see the EngineStats
 /// ordering contract in histogram_engine.h). Every cell but
 /// max_publish_nanos is one row of histogram_engine.cc's counter table,
-/// which Stats(), ToJson() and the metrics scrape all read.
+/// which Stats() and the metrics scrape both read. The accepted inserts,
+/// deletes and feedbacks are also the key's update count: their sum
+/// drives the publish cadence and stamps each publication's watermark.
 struct KeyCounters {
   std::atomic<std::uint64_t> inserts{0};
   std::atomic<std::uint64_t> deletes{0};
@@ -79,9 +81,8 @@ struct KeyState {
   std::atomic<std::uint64_t> enqueued_at_ns{0};
   std::atomic<std::uint64_t> last_publish_ns{0};
 
-  // Updates accepted for this key, and the value of that counter at the
-  // last publication — their difference drives auto-publication.
-  std::atomic<std::uint64_t> update_count{0};
+  // The update count (accepted inserts + deletes + feedbacks) at the last
+  // publication: the count minus this drives auto-publication.
   std::atomic<std::uint64_t> published_at{0};
 
   // Async publish state: `publish_pending` is true while a request for
@@ -94,24 +95,21 @@ struct KeyState {
   std::atomic<bool> publish_pending{false};
   std::atomic<std::uint64_t> requested_at{0};
 
-  std::mutex publish_mu;  // serializes merges of this key
-  std::atomic<std::uint64_t> epoch{0};
+  std::mutex publish_mu;  // serializes publications of this key
   std::atomic<std::shared_ptr<const VersionedModel>> published;
 
-  // Lease validation stamp: bumped (release) AFTER `published` is
-  // swapped, so a reader that observes the new version and then
-  // acquire-loads `published` is guaranteed at least that version's
-  // snapshot. Distinct from `epoch`, which is bumped BEFORE the swap
-  // (it is baked into the VersionedModel) and therefore cannot serve
-  // as a was-the-swap-visible stamp. See snapshot_lease.h for the
-  // full reader-side ordering contract.
-  std::atomic<std::uint64_t> version{0};
+  // The epoch of the newest publication, stored (release) only AFTER
+  // `published` holds it: a reader that observes epoch e and then
+  // acquire-loads `published` gets a snapshot of epoch >= e. The lease
+  // cache validates against it and KeyHandle::epoch() reports it. See
+  // snapshot_lease.h for the reader-side ordering contract.
+  std::atomic<std::uint64_t> epoch{0};
 
-  // Newest `version` any reader has leased (relaxed max, diagnostic):
-  // `version - last_leased_version` is the per-key lease-staleness
-  // gauge — 0 while the reader fleet is current, >0 between a publish
-  // and the first revalidation that observes it.
-  std::atomic<std::uint64_t> last_leased_version{0};
+  // Newest epoch any reader has leased (relaxed max, diagnostic):
+  // `epoch - last_leased_epoch` is the per-key lease-staleness gauge —
+  // 0 while the reader fleet is current, >0 between a publish and the
+  // first revalidation that observes it.
+  std::atomic<std::uint64_t> last_leased_epoch{0};
 
   // Publish-path scratch reused across epochs (guarded by publish_mu):
   // the vector that holds the exported shard models, and the merger's

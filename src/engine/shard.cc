@@ -38,7 +38,6 @@ std::unique_ptr<Histogram> MakeShardHistogram(const EngineOptions& options) {
 EngineShard::EngineShard(const EngineOptions& options,
                          const ShardTelemetry& telemetry)
     : batch_size_(options.batch_size < 1 ? 1 : options.batch_size),
-      coalesce_(options.coalesce_batches),
       telemetry_(telemetry),
       histogram_(MakeShardHistogram(options)) {
   buffer_.reserve(static_cast<std::size_t>(batch_size_));
@@ -47,35 +46,31 @@ EngineShard::EngineShard(const EngineOptions& options,
 void EngineShard::Push(const UpdateOp& op) {
   std::unique_lock<std::mutex> buffer_lock(buffer_mu_);
   buffer_.push_back(op);
-  if (buffer_.size() < static_cast<std::size_t>(batch_size_)) return;
-
-  // Full batch: take the histogram lock *before* releasing the buffer lock
-  // so batches reach the histogram in fill order, then drain outside the
-  // buffer lock so other producers can refill immediately.
-  std::vector<UpdateOp> batch;
-  batch.reserve(static_cast<std::size_t>(batch_size_));
-  buffer_.swap(batch);
-  std::unique_lock<std::mutex> hist_lock(hist_mu_);
-  buffer_lock.unlock();
-  ApplyLocked(batch);
+  if (buffer_.size() >= static_cast<std::size_t>(batch_size_)) {
+    Drain(std::move(buffer_lock));
+  }
 }
 
 void EngineShard::PushMany(const std::vector<UpdateOp>& ops) {
   if (ops.empty()) return;
   std::unique_lock<std::mutex> buffer_lock(buffer_mu_);
   buffer_.insert(buffer_.end(), ops.begin(), ops.end());
-  if (buffer_.size() < static_cast<std::size_t>(batch_size_)) return;
-  std::vector<UpdateOp> batch;
-  buffer_.swap(batch);
-  std::unique_lock<std::mutex> hist_lock(hist_mu_);
-  buffer_lock.unlock();
-  ApplyLocked(batch);
+  if (buffer_.size() >= static_cast<std::size_t>(batch_size_)) {
+    Drain(std::move(buffer_lock));
+  }
 }
 
 void EngineShard::Flush() {
   std::unique_lock<std::mutex> buffer_lock(buffer_mu_);
-  if (buffer_.empty()) return;
+  if (!buffer_.empty()) Drain(std::move(buffer_lock));
+}
+
+void EngineShard::Drain(std::unique_lock<std::mutex> buffer_lock) {
+  // Take the histogram lock *before* releasing the buffer lock so batches
+  // reach the histogram in fill order, then apply outside the buffer lock
+  // so other producers can refill immediately.
   std::vector<UpdateOp> batch;
+  batch.reserve(static_cast<std::size_t>(batch_size_));
   buffer_.swap(batch);
   std::unique_lock<std::mutex> hist_lock(hist_mu_);
   buffer_lock.unlock();
@@ -103,49 +98,34 @@ void EngineShard::ApplyLocked(const std::vector<UpdateOp>& batch) {
   if (telemetry_.batch_ops != nullptr) {
     telemetry_.batch_ops->Record(batch.size());
   }
-  if (coalesce_ && batch.size() > 1) {
-    // Coalesce in batch_size_-bounded chunks: Push-path batches are one
-    // chunk; an oversized PushMany/Flush drain is split so the histogram
-    // still adapts (repartitions) at the configured cadence instead of
-    // absorbing the whole drain as a handful of giant weighted steps.
-    const auto chunk = static_cast<std::size_t>(batch_size_);
-    for (std::size_t begin = 0; begin < batch.size(); begin += chunk) {
-      const std::size_t end = std::min(batch.size(), begin + chunk);
-      // Feedback ops must not enter the by-value data coalesce:
-      // segment the chunk into maximal data / feedback runs, coalescing
-      // each kind its own way while preserving their relative order (the
-      // feedback update rule reads the frequencies data ops write).
-      std::size_t seg = begin;
-      while (seg < end) {
-        const bool feedback = batch[seg].kind == UpdateOp::Kind::kFeedback;
-        std::size_t stop = seg + 1;
-        while (stop < end &&
-               (batch[stop].kind == UpdateOp::Kind::kFeedback) == feedback) {
-          ++stop;
-        }
-        if (feedback) {
-          CoalesceFeedbackAndApply(batch, seg, stop);
-        } else {
-          CoalesceAndApply(batch, seg, stop);
-        }
-        seg = stop;
+  // Coalesce in batch_size_-bounded chunks: Push-path batches are one
+  // chunk; an oversized PushMany/Flush drain is split so the histogram
+  // still adapts (repartitions) at the configured cadence instead of
+  // absorbing the whole drain as a handful of giant weighted steps. A
+  // chunk of one op is that op: InsertN(v, 1), DeleteN(v, 1) and
+  // ApplyFeedbackN(…, 1) take the single-op steps, so batch_size 1
+  // replays ops one by one in push order.
+  const auto chunk = static_cast<std::size_t>(batch_size_);
+  for (std::size_t begin = 0; begin < batch.size(); begin += chunk) {
+    const std::size_t end = std::min(batch.size(), begin + chunk);
+    // Feedback ops must not enter the by-value data coalesce: segment the
+    // chunk into maximal data / feedback runs, coalescing each kind its
+    // own way while preserving their relative order (the feedback update
+    // rule reads the frequencies data ops write).
+    std::size_t seg = begin;
+    while (seg < end) {
+      const bool feedback = batch[seg].kind == UpdateOp::Kind::kFeedback;
+      std::size_t stop = seg + 1;
+      while (stop < end &&
+             (batch[stop].kind == UpdateOp::Kind::kFeedback) == feedback) {
+        ++stop;
       }
-    }
-  } else {
-    for (const UpdateOp& op : batch) {
-      switch (op.kind) {
-        case UpdateOp::Kind::kInsert:
-          histogram_->Insert(op.value);
-          break;
-        case UpdateOp::Kind::kDelete:
-          // The engine's supported kinds ignore live_copies_before (see
-          // ShardHistogramKind); 1 is the conservative "it existed" value.
-          histogram_->Delete(op.value, 1);
-          break;
-        case UpdateOp::Kind::kFeedback:
-          histogram_->ApplyFeedback(op.value, op.hi, op.actual);
-          break;
+      if (feedback) {
+        CoalesceFeedbackAndApply(batch, seg, stop);
+      } else {
+        CoalesceAndApply(batch, seg, stop);
       }
+      seg = stop;
     }
   }
 }

@@ -78,13 +78,16 @@ class EngineShard {
   std::size_t BufferedOps() const;
 
  private:
-  // Applies `batch` under hist_mu_ (already locked by the caller's
-  // std::unique_lock, passed to document the protocol). With coalescing
-  // enabled, duplicate values collapse into weighted InsertN/DeleteN
-  // calls (inserts first per value, groups in first-occurrence order, via
-  // one pass through a value-to-group hash table — the batch itself is
-  // not reordered), so the histogram pays one maintenance step per
-  // distinct value; otherwise ops replay one by one in push order.
+  // Swaps the buffer out under `buffer_lock`, takes hist_mu_ before
+  // releasing it, and applies the batch: the one drain of Push, PushMany
+  // and Flush.
+  void Drain(std::unique_lock<std::mutex> buffer_lock);
+
+  // Applies `batch` under hist_mu_ (held by Drain). Duplicate values
+  // collapse into weighted InsertN/DeleteN calls (inserts first per
+  // value, groups in first-occurrence order, via one pass through a
+  // value-to-group hash table — the batch itself is not reordered), so
+  // the histogram pays one maintenance step per distinct value.
   void ApplyLocked(const std::vector<UpdateOp>& batch);
 
   // Coalesces batch[begin, end) by value and applies the weighted groups
@@ -99,7 +102,6 @@ class EngineShard {
                                 std::size_t begin, std::size_t end);
 
   const int batch_size_;
-  const bool coalesce_;
   const ShardTelemetry telemetry_;
 
   mutable std::mutex buffer_mu_;

@@ -8,7 +8,7 @@ namespace {
 struct Slot {
   KeyState* state = nullptr;     // identity: state pointer + engine id
   std::uint64_t engine_id = 0;
-  std::uint64_t version = 0;     // stamp the cached snapshot was leased at
+  std::uint64_t epoch = 0;       // key epoch the slot was filled at
   std::uint64_t last_used = 0;   // LRU tick
   std::shared_ptr<const VersionedModel> snapshot;
 };
@@ -24,36 +24,34 @@ LeaseCache& Cache() {
   return cache;
 }
 
-// Relaxed running max: records the newest version any reader leased,
+// Relaxed running max: records the newest epoch any reader leased,
 // which drives the per-key lease-staleness gauge. Diagnostic — losing a
 // race only under-reports the max by one revalidation.
-void NoteLeasedVersion(KeyState& state, std::uint64_t version) {
-  std::uint64_t prev =
-      state.last_leased_version.load(std::memory_order_relaxed);
-  while (prev < version &&
-         !state.last_leased_version.compare_exchange_weak(
-             prev, version, std::memory_order_relaxed,
+void NoteLeasedEpoch(KeyState& state, std::uint64_t epoch) {
+  std::uint64_t prev = state.last_leased_epoch.load(std::memory_order_relaxed);
+  while (prev < epoch &&
+         !state.last_leased_epoch.compare_exchange_weak(
+             prev, epoch, std::memory_order_relaxed,
              std::memory_order_relaxed)) {
   }
 }
 
-// (Re)fills `slot` from the key's published pointer. Version is loaded
+// (Re)fills `slot` from the key's published pointer. The epoch is loaded
 // with acquire BEFORE the pointer: the publisher swaps the pointer and
-// then bumps the stamp, so the pointer load returns a snapshot at least
-// as new as the observed version (possibly newer, in which case the next
-// revalidation misses once more and catches the stamp up — correctness
+// then stores the epoch, so the pointer load returns a snapshot at least
+// as new as the observed epoch (possibly newer, in which case the next
+// revalidation misses once more and catches the slot up — correctness
 // is unaffected, the lease is never ahead of `published`).
 LeaseView FillSlot(Slot& slot, KeyState& state, std::uint64_t engine_id,
                    std::uint64_t tick) {
-  const std::uint64_t version =
-      state.version.load(std::memory_order_acquire);
+  const std::uint64_t epoch = state.epoch.load(std::memory_order_acquire);
   slot.snapshot = state.published.load(std::memory_order_acquire);
   slot.state = &state;
   slot.engine_id = engine_id;
-  slot.version = version;
+  slot.epoch = epoch;
   slot.last_used = tick;
-  NoteLeasedVersion(state, version);
-  return LeaseView{&slot.snapshot, version, /*hit=*/false};
+  NoteLeasedEpoch(state, epoch);
+  return LeaseView{&slot.snapshot, /*hit=*/false};
 }
 
 }  // namespace
@@ -67,11 +65,11 @@ LeaseView AcquireLease(KeyState& state, std::uint64_t engine_id) {
     if (slot.state == &state && slot.engine_id == engine_id) {
       // Steady state: one relaxed load decides whether the cached (and
       // previously acquire-synchronized) pointer is still current.
-      if (state.version.load(std::memory_order_relaxed) == slot.version) {
+      if (state.epoch.load(std::memory_order_relaxed) == slot.epoch) {
         slot.last_used = tick;
-        return LeaseView{&slot.snapshot, slot.version, /*hit=*/true};
+        return LeaseView{&slot.snapshot, /*hit=*/true};
       }
-      return FillSlot(slot, state, engine_id, tick);  // version moved
+      return FillSlot(slot, state, engine_id, tick);  // epoch moved
     }
     if (slot.state == nullptr) {
       if (free_slot == nullptr) free_slot = &slot;

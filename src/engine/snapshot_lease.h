@@ -6,31 +6,36 @@
 // libstdc++, the atomic<shared_ptr> lock-pool spinlock) — which is why
 // the PR 7 engine front door served ~14M queries/s against the arena's
 // ~67M/s. The lease cache moves that cost off the per-query path: each
-// thread keeps a small slot array mapping KeyState* -> {version,
+// thread keeps a small slot array mapping KeyState* -> {epoch,
 // shared_ptr<const VersionedModel>}; a query revalidates its slot with
-// ONE RELAXED LOAD of the key's version stamp and reuses the cached
-// pointer on a hit, re-acquiring the shared_ptr only when the version
-// moved. The refcount is touched once per publication per reader thread
-// instead of once per query.
+// ONE RELAXED LOAD of the key's epoch and reuses the cached pointer on a
+// hit, re-acquiring the shared_ptr only when the epoch moved. The
+// refcount is touched once per publication per reader thread instead of
+// once per query.
 //
-// Memory-ordering contract (publisher side in histogram_engine.cc):
+// Memory-ordering contract (publisher side in histogram_engine.cc; the
+// key's publications serialize on publish_mu, so the publisher is the
+// epoch's only writer):
 //
-//   publisher:  published.store(snapshot, release);
-//               version.fetch_add(1, release);        // AFTER the swap
-//   reader hit: version.load(relaxed) == cached       // reuse cached ptr
-//   reader miss: v = version.load(acquire);           // pairs with bump
-//                ptr = published.load(acquire);       // >= version v
+//   publisher:  published.store(snapshot of epoch e, release);
+//               epoch.store(e, release);              // AFTER the swap
+//   reader hit: epoch.load(relaxed) == cached         // reuse cached ptr
+//   reader miss: e = epoch.load(acquire);             // pairs with store
+//                ptr = published.load(acquire);       // epoch >= e
 //
-// Because the version bump follows the pointer swap, an acquire load that
-// observes version v synchronizes-with the bump and therefore sees (at
-// least) version v's pointer in `published` — a lease can be at most one
+// Because the epoch store follows the pointer swap, an acquire load that
+// observes epoch e synchronizes-with the store and therefore sees (at
+// least) epoch e's pointer in `published` — a lease can be at most one
 // revalidation behind the newest publish (the swap may have landed while
-// the stamp hasn't), and never ahead. Per thread, leased snapshots are
-// epoch-monotone: a hit reuses the pointer unchanged, and a miss
-// re-acquires a pointer at least as new as the one it replaces. The
-// relaxed hit-path load is sound because the cached pointer was fully
-// acquired when the slot last missed; the load only decides whether that
-// already-synchronized value is still current.
+// the epoch hasn't), and never ahead. Nor is it ever behind an epoch the
+// same thread read earlier (KeyHandle::epoch() included): loads of one
+// atomic never go back, so the next revalidation sees that epoch or a
+// newer one. Per thread, leased snapshots are epoch-monotone: a hit
+// reuses the pointer unchanged, and a miss re-acquires a pointer at
+// least as new as the one it replaces. The relaxed hit-path load is
+// sound because the cached pointer was fully acquired when the slot last
+// missed; the load only decides whether that already-synchronized value
+// is still current.
 //
 // Capacity: kLeaseSlots slots per thread, evicted LRU by a thread-local
 // use tick, so a many-key workload cannot grow a thread's cache without
@@ -68,8 +73,7 @@ inline constexpr std::size_t kLeaseSlots = 16;
 /// handoff refcount op the steady state avoids).
 struct LeaseView {
   const std::shared_ptr<const VersionedModel>* snapshot = nullptr;
-  std::uint64_t version = 0;  ///< version stamp this lease validated
-  bool hit = false;           ///< true: cached pointer reused, no refcount op
+  bool hit = false;  ///< true: cached pointer reused, no refcount op
 
   /// The leased model, or nullptr when the key has never published.
   const VersionedModel* model() const { return snapshot->get(); }
@@ -89,7 +93,7 @@ LeaseView AcquireLease(KeyState& state, std::uint64_t engine_id);
 void ReleaseThreadLeases();
 
 /// Slots the calling thread has evicted so far (LRU replacements, not
-/// version refreshes). Diagnostic, for the eviction tests.
+/// epoch refreshes). Diagnostic, for the eviction tests.
 std::uint64_t ThreadLeaseEvictions();
 
 }  // namespace dynhist::engine::internal

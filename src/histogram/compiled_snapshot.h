@@ -32,9 +32,10 @@
 // The search primitive is branch-free (cmov-style): each halving step is
 // `base += (base[half-1] <= x) * half`, so a mispredicted-branch pipeline
 // flush never happens. When the toolchain supports -mavx2 (CMake feature
-// check, DYNHIST_ENABLE_SIMD) an AVX2 variant finishes the search with a
-// vectorized compare+popcount over the last <= 8 borders; it is selected
-// at runtime via cpuid, and the scalar fallback is always built.
+// check) an AVX2 variant finishes the search with a vectorized
+// compare+popcount over the last <= 8 borders; it is selected at runtime
+// via cpuid, and the scalar leg — the path of CPUs without AVX2 and the
+// tests' reference — is always built.
 
 #ifndef DYNHIST_HISTOGRAM_COMPILED_SNAPSHOT_H_
 #define DYNHIST_HISTOGRAM_COMPILED_SNAPSHOT_H_

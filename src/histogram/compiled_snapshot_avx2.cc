@@ -1,10 +1,10 @@
 // AVX2 leg of the compiled-snapshot search: branch-free halving descent
 // to a window of at most 8 borders, then one vectorized compare +
 // movemask/popcount counts how many of them are <= x. Compiled with
-// -mavx2 only when CMake's feature check passes (DYNHIST_ENABLE_SIMD);
-// without the flag this TU is empty and the scalar path is the only one
-// linked. Selection between the two happens at runtime in
-// compiled_internal::UpperBound/UpperBound2 via cpuid.
+// -mavx2 only when CMake's feature check passes; without the flag this TU
+// is empty and the scalar path is the only one linked. Selection between
+// the two happens at runtime in compiled_internal::UpperBound/UpperBound2
+// via cpuid.
 
 #include "src/histogram/compiled_snapshot.h"
 

@@ -70,8 +70,8 @@ TEST(EngineHandleTest, LeaseMissesCountPublishesObservedNotQueries) {
 }
 
 // A post-publish read on the publishing thread can never be served a
-// pre-publish snapshot: the version stamp is bumped after the pointer
-// swap, so the very next revalidation re-acquires.
+// pre-publish snapshot: the epoch is stored after the pointer swap, so
+// the very next revalidation re-acquires.
 TEST(EngineHandleTest, LeaseRevalidatesImmediatelyOnPublish) {
   internal::ReleaseThreadLeases();
   HistogramEngine engine(TestOptions());
@@ -272,12 +272,48 @@ TEST(EngineHandleTest, ConcurrentReadersObserveMonotoneEpochs) {
             static_cast<std::uint64_t>(kEpochs));
   // The writer thread's own lease observed every publish it performed
   // between queries; across all threads, misses can never exceed the
-  // revalidations that had a new version to observe.
+  // revalidations that had a new epoch to observe.
   const EngineStats st = engine.Stats(h);
   EXPECT_GT(st.lease_hits, 0u);
   EXPECT_LE(st.lease_misses,
             static_cast<std::uint64_t>(kEpochs) * (kReaders + 1) +
                 kReaders + 1);
+}
+
+// KeyHandle::epoch() never runs ahead of the lease: a publication stores
+// its epoch only after its snapshot is swapped in, so a reader that reads
+// epoch e from the handle and then leases gets a snapshot of epoch >= e.
+// One thread republishes the key while this one compares the two.
+TEST(EngineHandleTest, HandleEpochNeverRunsAheadOfTheLease) {
+  HistogramEngine engine(TestOptions());
+  const KeyHandle h = engine.Resolve(kKey);
+  const HistogramModel model =
+      HistogramModel::FromSimpleBuckets({{0.0, 10.0, 100.0}});
+  constexpr int kPublishes = 20'000;
+
+  std::atomic<bool> reading{false};
+  std::atomic<bool> done{false};
+  std::thread publisher([&] {
+    while (!reading.load()) {
+    }
+    for (int i = 0; i < kPublishes; ++i) engine.PublishExternal(kKey, model);
+    done.store(true);
+  });
+  std::uint64_t checks = 0;
+  std::uint64_t ahead = 0;
+  reading.store(true);
+  while (!done.load()) {
+    const std::uint64_t handle_epoch = h.epoch();
+    if (engine.LeasedSnapshot(h).epoch() < handle_epoch) ++ahead;
+    ++checks;
+  }
+  publisher.join();
+
+  EXPECT_GT(checks, 0u);
+  EXPECT_EQ(ahead, 0u) << "the handle was ahead of its lease in " << ahead
+                       << " of " << checks << " checks";
+  EXPECT_EQ(engine.LeasedSnapshot(h).epoch(),
+            static_cast<std::uint64_t>(kPublishes));
 }
 
 // The lease metrics ride the standard exposition: per-key hit/miss
@@ -323,7 +359,7 @@ TEST(EngineHandleTest, LeaseMetricsExposed) {
 // PublishExternal enters the same publish tail as shard-path refreshes,
 // so the whole KeyHandle/lease lifecycle must be indistinguishable: a
 // handle resolved before the key ever had a snapshot observes each
-// external version, each publication bumps the version exactly once
+// external epoch, each publication advances the epoch exactly once
 // (staleness 0 -> 1 -> 0 around an unread publish), and the
 // revalidation shows up as one lease miss followed by pure hits.
 TEST(EngineHandleTest, ExternalPublicationsDriveLeaseLifecycle) {
@@ -340,7 +376,7 @@ TEST(EngineHandleTest, ExternalPublicationsDriveLeaseLifecycle) {
       /*watermark=*/7);
   EXPECT_EQ(first.epoch(), 1u);
 
-  // Unread publication: the staleness gauge reports one version the
+  // Unread publication: the staleness gauge reports one epoch the
   // reader fleet has not observed.
   std::string text;
   engine.WriteMetricsPrometheus(&text);
@@ -362,7 +398,7 @@ TEST(EngineHandleTest, ExternalPublicationsDriveLeaseLifecycle) {
       text.find("dynhist_key_lease_staleness_versions{key=\"ext\"} 0"),
       std::string::npos);
 
-  // Next external version: epoch and watermark advance, the same handle
+  // Next external publication: epoch and watermark advance, the same handle
   // flips to the new model on its next read, and the gauge round-trips
   // 0 -> 1 -> 0 again.
   const EngineSnapshot second = engine.PublishExternal(

@@ -7,6 +7,7 @@
 #include <cmath>
 #include <iterator>
 #include <limits>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -18,6 +19,7 @@
 #include "src/engine/shard.h"
 #include "src/engine/snapshot.h"
 #include "src/histogram/dynamic_vopt.h"
+#include "src/histogram/merge.h"
 #include "src/metrics/ks.h"
 #include "tests/test_util.h"
 
@@ -122,12 +124,7 @@ TEST(HistogramEngineTest, AutoPublishFollowsSnapshotCadence) {
 }
 
 TEST(HistogramEngineTest, InsertBatchMatchesLoopInserts) {
-  // Coalescing groups a batch by value, so the two ingestion paths only
-  // stay operation-for-operation identical with it disabled (they drain
-  // batches of different sizes); this test pins the buffer plumbing, the
-  // next one covers coalescing itself.
   EngineOptions options = TestOptions();
-  options.coalesce_batches = false;
   const auto values = ZipfValues(10'000, 6);
   HistogramEngine loop_engine(options);
   HistogramEngine batch_engine(options);
@@ -135,21 +132,92 @@ TEST(HistogramEngineTest, InsertBatchMatchesLoopInserts) {
   batch_engine.InsertBatch(kKey, values);
   EXPECT_DOUBLE_EQ(loop_engine.LiveTotalCount(kKey),
                    batch_engine.LiveTotalCount(kKey));
-  const double a =
-      loop_engine.RefreshSnapshot(kKey).EstimateRange(0, kDomain / 2);
-  const double b =
-      batch_engine.RefreshSnapshot(kKey).EstimateRange(0, kDomain / 2);
-  EXPECT_NEAR(a, b, 1e-6);
+  // Each shard applies the same ops in the same batch_size chunks either
+  // way, so the two publish the same model.
+  EXPECT_TRUE(testing::ModelsBitIdentical(
+      loop_engine.RefreshSnapshot(kKey).model(),
+      batch_engine.RefreshSnapshot(kKey).model()));
+}
+
+// One shard at batch_size 1 publishes exactly what a lone shard histogram
+// fed the same ops one by one would, merged the way the engine merges.
+TEST(HistogramEngineTest, BatchSizeOneReplaysOpsAsPushed) {
+  for (const ShardHistogramKind kind :
+       {ShardHistogramKind::kDynamicCompressed,
+        ShardHistogramKind::kDynamicVOpt, ShardHistogramKind::kDynamicAdo}) {
+    EngineOptions options = TestOptions();
+    options.kind = kind;
+    options.shards = 1;
+    options.batch_size = 1;
+    HistogramEngine engine(options);
+    const std::unique_ptr<Histogram> replica = MakeShardHistogram(options);
+
+    Rng rng(29);
+    const ZipfDistribution zipf(static_cast<std::size_t>(kDomain), 1.0);
+    std::vector<std::int64_t> live;
+    for (int i = 0; i < 8'000; ++i) {
+      if (!live.empty() && rng.Bernoulli(0.25)) {
+        const std::size_t j = rng.UniformInt(live.size());
+        const std::int64_t v = live[j];
+        live[j] = live.back();
+        live.pop_back();
+        engine.Delete(kKey, v);
+        replica->Delete(v, 1);
+      } else {
+        const auto v = static_cast<std::int64_t>(zipf.Sample(rng));
+        live.push_back(v);
+        engine.Insert(kKey, v);
+        replica->Insert(v);
+      }
+    }
+    const HistogramModel expected = SnapshotMerger().MergeAndReduce(
+        {replica->Model()}, options.merged_buckets);
+    EXPECT_TRUE(testing::ModelsBitIdentical(
+        engine.RefreshSnapshot(kKey).model(), expected))
+        << static_cast<int>(kind);
+  }
+}
+
+// The publish cadence counts accepted inserts, deletes and feedbacks
+// alike, and nothing a caller had rejected.
+TEST(HistogramEngineTest, CadenceCountsAcceptedInsertsDeletesAndFeedbacks) {
+  EngineOptions options = TestOptions();
+  options.snapshot_every = 12;
+  HistogramEngine engine(options);
+  engine.InsertBatch(kKey, {1, 2, kMaxValue + 1, 3, 4});  // 4 accepted
+  engine.Insert(kKey, kMinValue - 1);
+  engine.Insert(kKey, 5);                                 // 5
+  for (std::int64_t v = 1; v <= 3; ++v) engine.Delete(kKey, v);  // 8
+  engine.Delete(kKey, kMaxValue + 1);
+  engine.RecordFeedback(kKey, 10, 5, 1.0);  // lo > hi
+  engine.RecordFeedback(kKey, 0, 9, 2.0);   // 9
+  engine.RecordFeedback(kKey, 0, 9, std::numeric_limits<double>::quiet_NaN());
+  engine.RecordFeedback(kKey, 0, 9, 2.0);   // 10
+  engine.Insert(kKey, 6);                   // 11
+  EXPECT_EQ(engine.Stats(kKey).publishes, 0u);
+
+  engine.RecordFeedback(kKey, 0, 9, 2.0);   // 12: the cadence trips
+  const EngineStats stats = engine.Stats(kKey);
+  EXPECT_EQ(stats.publishes, 1u);
+  EXPECT_EQ(stats.rejected_values, 3u);
+  EXPECT_EQ(stats.rejected_feedbacks, 2u);
+  EXPECT_EQ(engine.Snapshot(kKey).watermark(), 12u);
+  std::string text;
+  engine.WriteMetricsPrometheus(&text);
+  EXPECT_NE(text.find("dynhist_key_staleness_updates{key=\"t.a\"} 0\n"),
+            std::string::npos)
+      << text;
 }
 
 TEST(HistogramEngineTest, CoalescedBatchesConserveMassAndQuality) {
   // Coalescing changes the maintenance trajectory but must conserve mass
-  // exactly and stay in the same estimation-quality class.
+  // exactly and stay in the same estimation-quality class as the
+  // op-by-op replay of batch_size 1.
   const auto values = ZipfValues(20'000, 12);
   EngineOptions coalesced = TestOptions();
   coalesced.batch_size = 256;  // plenty of duplicates per batch at z=1
   EngineOptions faithful = coalesced;
-  faithful.coalesce_batches = false;
+  faithful.batch_size = 1;
 
   FrequencyVector truth(kDomain);
   for (const std::int64_t v : values) truth.Insert(v);
@@ -266,7 +334,6 @@ TEST(HistogramEngineTest, CoalescedShardStreamsReplayBitIdentically) {
     options.batch_size = c.batch_size;
     options.shard_buckets = 32;
     options.st_feedback.domain_hi = kDomain - 1;
-    ASSERT_TRUE(options.coalesce_batches);
     const std::uint64_t digest =
         ReplayThroughShard(options, 51 + c.batch_size, c.feedback);
     SCOPED_TRACE(::testing::Message()
@@ -587,8 +654,8 @@ TEST(HistogramEngineTest, PublishExternalServesTheGivenModel) {
               direct.EstimateRange(lo, lo + 11));
   }
 
-  // Epochs keep counting across external publications, and the
-  // published-version counter advances (handle readers resync).
+  // Epochs keep counting across external publications (handle readers
+  // resync on the epoch).
   const EngineSnapshot second = engine.PublishExternal(
       "ext.key", HistogramModel::FromSimpleBuckets({{0.0, 5.0, 7.0}}),
       /*watermark=*/78);
