@@ -133,5 +133,38 @@ TEST(ApproximateCompressedTest, SingularBucketsForHeavyValues) {
   EXPECT_TRUE(has_singular_42);
 }
 
+TEST(ApproximateCompressedTest, SeededStreamsReplayBitIdentically) {
+  // Pinned outputs of the paper's eager maintenance: the §7.3.1 mix (25%
+  // deletes of live tuples) replayed with live counts, so deletes reach
+  // the backing sample. A change to when AC recomputes, or to what a
+  // recompute builds, moves a line.
+  struct PinCase {
+    double memory_bytes;
+    std::uint64_t digest;
+    std::int64_t recomputes;
+  };
+  const PinCase cases[] = {
+      {256.0, 0x26abab8925f3745eull, 5'200},
+      {1'024.0, 0x76158c8f54599dc7ull, 9'693},
+  };
+  const auto values = GenerateClusterData({.num_points = 8'000,
+                                           .domain_size = 1'001,
+                                           .num_clusters = 60,
+                                           .seed = 43});
+  for (const PinCase& c : cases) {
+    ApproximateCompressedHistogram h(
+        MakeApproximateCompressedConfig(c.memory_bytes, 20.0, 44));
+    FrequencyVector truth(1'001);
+    Rng rng(45);
+    Replay(MakeMixedStream(values, 0.25, rng), &h, &truth);
+    SCOPED_TRACE(::testing::Message()
+                 << c.memory_bytes << " B: digest 0x" << std::hex
+                 << testing::ModelDigest(h.Model()) << std::dec
+                 << ", recomputes " << h.RecomputeCount());
+    EXPECT_EQ(testing::ModelDigest(h.Model()), c.digest);
+    EXPECT_EQ(h.RecomputeCount(), c.recomputes);
+  }
+}
+
 }  // namespace
 }  // namespace dynhist
