@@ -1,4 +1,4 @@
-// Ablation (§5 / DESIGN.md): SSBM design choices.
+// Ablation (§5): SSBM design choices.
 // Compares, on the Fig. 10 static setting, four SSBM variants against the
 // exact optimum:
 //   merged-rho key (the paper's rule)  vs  delta-rho key,

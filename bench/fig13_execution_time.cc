@@ -4,11 +4,12 @@
 // and the default: batched rounds of forced merges with a tournament-tree
 // tail), SC construction, DADO full-stream maintenance.
 //
-// Substitution note (DESIGN.md §4): the paper's SVO search is exponential
-// and took ~70-80 s; our exact DP is polynomial, so absolute times are far
-// smaller. The *ordering* the figure demonstrates is preserved: SVO is by
-// far the most expensive constructor, SSBM is orders of magnitude cheaper
-// at near-equal quality, and SC/DADO are cheapest.
+// Substitution note (README "Substitutions", item 2): the paper's SVO
+// search is exponential and took ~70-80 s; our exact DP is polynomial, so
+// absolute times are far smaller. The *ordering* the figure demonstrates
+// is preserved: SVO is by far the most expensive constructor, SSBM is
+// orders of magnitude cheaper at near-equal quality, and SC/DADO are
+// cheapest.
 
 #include "bench/bench_util.h"
 

@@ -2,7 +2,7 @@
 // 61,105 dollar amounts on [0, 500] inserted in random order; X axis:
 // memory 0.25 .. 4 KB. Series: AC, DC, DADO.
 // (The proprietary trace is replaced by a synthetic spiky equivalent —
-// DESIGN.md §4, substitution 1.)
+// README "Substitutions", item 1.)
 // Paper shape: matches Fig. 8, except DADO's error declines slower than
 // 1/B because every spike wants its own bucket.
 

@@ -1,4 +1,4 @@
-// Per-update cost micro-benchmarks (google-benchmark).
+// Per-update cost micro-benchmark.
 //
 // Backs the cost analysis of §3.1 / §4.4: DC pays O(log n) per insert (a
 // binary search plus O(1) chi-square bookkeeping), and so do DVO/DADO (a
@@ -6,10 +6,18 @@
 // tournament-tree repair that keeps Theorem 4.1's split and merge
 // candidates on top; only an executed repartition pays O(n), to shift the
 // bucket vectors). AC's cost is dominated by its backing-sample
-// maintenance. Also measures Model() export, deletion, and the static
-// construction costs behind Fig. 13.
+// maintenance. Also measures DADO insert cost against memory, DADO
+// deletion, Model() export and the KS statistic; Fig. 13 times the static
+// constructions.
+//
+// Every arm is timed by bench_util.h's Interleave and printed in ns per
+// operation as median [p25, p75] n over the rounds. There are no gates.
+// Flags: the shared bench flags, which change nothing here (~40 s).
 
-#include <benchmark/benchmark.h>
+#include <cstdio>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "bench/bench_util.h"
 
@@ -19,135 +27,112 @@ using namespace dynhist;
 using namespace dynhist::bench;
 
 constexpr std::int64_t kDomain = 5'001;
+// Points inserted before an insert arm's first timed step.
+constexpr std::size_t kWarm = 50'000;
+// Points loaded before the delete and export arms run.
+constexpr std::size_t kLoaded = 100'000;
+// Operations per timed step of the update arms.
+constexpr std::size_t kStep = 1'000;
 
-std::vector<std::int64_t> BenchValues() {
-  ClusterDataConfig config;
-  config.num_points = 200'000;
-  config.seed = 42;
-  return GenerateClusterData(config);
+// Nanoseconds per operation, from each round's operations per second.
+std::vector<double> Nanos(const std::vector<double>& rates) {
+  std::vector<double> nanos;
+  for (const double rate : rates) nanos.push_back(1e9 / rate);
+  return nanos;
 }
-
-// Pre-warms a histogram with 50k points, then measures steady-state
-// insert cost over the rest of the stream.
-void InsertBenchmark(benchmark::State& state, const std::string& algo,
-                     double memory_bytes) {
-  static const std::vector<std::int64_t> values = BenchValues();
-  auto h = MakeDynamic(algo, memory_bytes, 1);
-  std::size_t i = 0;
-  for (; i < 50'000; ++i) h->Insert(values[i]);
-  for (auto _ : state) {
-    h->Insert(values[i]);
-    if (++i == values.size()) i = 50'000;  // stay in steady state
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-
-void BM_Insert_DC(benchmark::State& state) {
-  InsertBenchmark(state, "DC", Kb(1.0));
-}
-void BM_Insert_DADO(benchmark::State& state) {
-  InsertBenchmark(state, "DADO", Kb(1.0));
-}
-void BM_Insert_DVO(benchmark::State& state) {
-  InsertBenchmark(state, "DVO", Kb(1.0));
-}
-void BM_Insert_AC(benchmark::State& state) {
-  InsertBenchmark(state, "AC", Kb(1.0));
-}
-void BM_Insert_Birch(benchmark::State& state) {
-  InsertBenchmark(state, "Birch", Kb(1.0));
-}
-BENCHMARK(BM_Insert_DC);
-BENCHMARK(BM_Insert_DADO);
-BENCHMARK(BM_Insert_DVO);
-BENCHMARK(BM_Insert_AC);
-BENCHMARK(BM_Insert_Birch);
-
-// Insert cost as a function of the bucket budget: DADO's O(log n) tree
-// repair, plus the O(n) vector shift of each executed repartition.
-void BM_Insert_DADO_Memory(benchmark::State& state) {
-  InsertBenchmark(state, "DADO", static_cast<double>(state.range(0)));
-}
-BENCHMARK(BM_Insert_DADO_Memory)->Arg(256)->Arg(1024)->Arg(4096);
-
-void BM_Delete_DADO(benchmark::State& state) {
-  static const std::vector<std::int64_t> values = BenchValues();
-  auto h = MakeDynamic("DADO", Kb(1.0), 1);
-  FrequencyVector truth(kDomain);
-  for (std::size_t i = 0; i < 100'000; ++i) {
-    h->Insert(values[i]);
-    truth.Insert(values[i]);
-  }
-  std::size_t i = 0;
-  for (auto _ : state) {
-    // Alternate delete/insert to keep the histogram populated.
-    const std::int64_t v = values[i % 100'000];
-    if (truth.Count(v) > 0) {
-      h->Delete(v, truth.Count(v));
-      truth.Delete(v);
-    }
-    h->Insert(v);
-    truth.Insert(v);
-    ++i;
-  }
-  state.SetItemsProcessed(2 * state.iterations());
-}
-BENCHMARK(BM_Delete_DADO);
-
-void BM_ModelExport_DADO(benchmark::State& state) {
-  static const std::vector<std::int64_t> values = BenchValues();
-  auto h = MakeDynamic("DADO", Kb(1.0), 1);
-  for (std::size_t i = 0; i < 100'000; ++i) h->Insert(values[i]);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(h->Model());
-  }
-}
-BENCHMARK(BM_ModelExport_DADO);
-
-void StaticBuildBenchmark(benchmark::State& state, const std::string& name) {
-  static const FrequencyVector truth(kDomain, BenchValues());
-  const double memory = static_cast<double>(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(BuildStatic(name, memory, truth));
-  }
-}
-
-void BM_Build_SC(benchmark::State& state) {
-  StaticBuildBenchmark(state, "SC");
-}
-void BM_Build_SSBM(benchmark::State& state) {
-  StaticBuildBenchmark(state, "SSBM");
-}
-void BM_Build_SVO(benchmark::State& state) {
-  StaticBuildBenchmark(state, "SVO");
-}
-BENCHMARK(BM_Build_SC)->Arg(256)->Arg(1024);
-BENCHMARK(BM_Build_SSBM)->Arg(256)->Arg(1024);
-BENCHMARK(BM_Build_SVO)->Arg(256);
-
-void BM_Build_SSBM_Quadratic(benchmark::State& state) {
-  static const FrequencyVector truth(kDomain, BenchValues());
-  const auto entries = truth.NonZeroEntries();
-  const std::int64_t buckets =
-      BucketBudget(static_cast<double>(state.range(0)),
-                   BucketLayout::kBorderCount);
-  SsbmOptions options;
-  options.use_quadratic_scan = true;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(BuildSsbm(entries, buckets, options));
-  }
-}
-BENCHMARK(BM_Build_SSBM_Quadratic)->Arg(256);
-
-void BM_KsStatistic(benchmark::State& state) {
-  static const FrequencyVector truth(kDomain, BenchValues());
-  const auto model = BuildStatic("SC", Kb(1.0), truth);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(KsStatistic(truth, model));
-  }
-}
-BENCHMARK(BM_KsStatistic);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  Options::FromArgs(argc, argv);
+  ClusterDataConfig data_config;
+  data_config.num_points = 200'000;
+  data_config.seed = 42;
+  const std::vector<std::int64_t> values = GenerateClusterData(data_config);
+
+  std::vector<std::string> names;
+  std::vector<Step> arms;
+  std::vector<std::unique_ptr<Histogram>> histograms;  // the arms' state
+  double sink = 0.0;  // defeats dead-code elimination of exports and KS
+
+  // An insert arm pre-warms its histogram with kWarm points, then inserts
+  // the rest of the stream in steady state, wrapping back to point kWarm.
+  const auto add_insert_arm = [&](const std::string& algo,
+                                  double memory_bytes) {
+    auto h = MakeDynamic(algo, memory_bytes, 1);
+    for (std::size_t i = 0; i < kWarm; ++i) h->Insert(values[i]);
+    arms.push_back([h = h.get(), &values, next = kWarm](int) mutable {
+      for (std::size_t k = 0; k < kStep; ++k) {
+        h->Insert(values[next]);
+        if (++next == values.size()) next = kWarm;
+      }
+      return static_cast<double>(kStep);
+    });
+    histograms.push_back(std::move(h));
+    names.push_back("insert " + algo + " " +
+                    std::to_string(static_cast<int>(memory_bytes)) + " B");
+  };
+  for (const char* algo : {"DC", "DADO", "DVO", "AC", "Birch"}) {
+    add_insert_arm(algo, Kb(1.0));
+  }
+  // DADO against the bucket budget: the O(log n) tree repair, plus the
+  // O(n) vector shift of each executed repartition.
+  add_insert_arm("DADO", 256.0);
+  add_insert_arm("DADO", Kb(4.0));
+
+  // DADO deletes: each operation pair deletes a live copy of a loaded
+  // value and inserts it back, so the histogram stays populated.
+  FrequencyVector truth(kDomain);
+  {
+    auto h = MakeDynamic("DADO", Kb(1.0), 1);
+    for (std::size_t i = 0; i < kLoaded; ++i) {
+      h->Insert(values[i]);
+      truth.Insert(values[i]);
+    }
+    arms.push_back([h = h.get(), &truth, &values, i = std::size_t{0}](
+                       int) mutable {
+      for (std::size_t k = 0; k < kStep; ++k, ++i) {
+        const std::int64_t v = values[i % kLoaded];
+        h->Delete(v, truth.Count(v));
+        truth.Delete(v);
+        h->Insert(v);
+        truth.Insert(v);
+      }
+      return 2.0 * static_cast<double>(kStep);
+    });
+    histograms.push_back(std::move(h));
+    names.push_back("delete+insert DADO 1024 B");
+  }
+
+  {
+    auto h = MakeDynamic("DADO", Kb(1.0), 1);
+    for (std::size_t i = 0; i < kLoaded; ++i) h->Insert(values[i]);
+    arms.push_back([h = h.get(), &sink](int) {
+      sink += h->Model().TotalCount();
+      return 1.0;
+    });
+    histograms.push_back(std::move(h));
+    names.push_back("Model() DADO 1024 B");
+  }
+
+  const FrequencyVector all(kDomain, values);
+  const HistogramModel sc = BuildStatic("SC", Kb(1.0), all);
+  arms.push_back([&](int) {
+    sink += KsStatistic(all, sc);
+    return 1.0;
+  });
+  names.push_back("KsStatistic SC 1024 B");
+
+  std::printf("# micro_update_cost: %zu cluster points over [0, %lld); "
+              "%d rounds of >= %.0f ms per arm\n",
+              values.size(), static_cast<long long>(kDomain), kRepeats,
+              kWindowSeconds * 1e3);
+  const auto rates = Interleave(arms);
+  if (sink < 0.0) std::printf("# sink %f\n", sink);
+  std::printf("%-28s %s\n", "arm", "ns/op");
+  for (std::size_t a = 0; a < arms.size(); ++a) {
+    std::printf("%-28s %s\n", names[a].c_str(),
+                Describe(Summarize(Nanos(rates[a])), "%.1f").c_str());
+  }
+  return 0;
+}

@@ -72,11 +72,4 @@ double ChiSquareProbability(double chi2, double dof) {
   return GammaQ(0.5 * dof, 0.5 * chi2);
 }
 
-double LogBinomial(std::int64_t n, std::int64_t k) {
-  DH_CHECK(n >= 0 && k >= 0 && k <= n);
-  return std::lgamma(static_cast<double>(n) + 1.0) -
-         std::lgamma(static_cast<double>(k) + 1.0) -
-         std::lgamma(static_cast<double>(n - k) + 1.0);
-}
-
 }  // namespace dynhist

@@ -9,8 +9,6 @@
 #ifndef DYNHIST_COMMON_MATH_H_
 #define DYNHIST_COMMON_MATH_H_
 
-#include <cstdint>
-
 namespace dynhist {
 
 /// Regularized lower incomplete gamma function P(a, x) = γ(a,x) / Γ(a).
@@ -25,10 +23,6 @@ double GammaQ(double a, double x);
 /// i.e. Q(dof/2, chi2/2). Small values mean the null hypothesis ("bucket
 /// counts are uniform", §3) is unlikely and repartitioning should trigger.
 double ChiSquareProbability(double chi2, double dof);
-
-/// Natural log of the binomial coefficient C(n, k) (used by tests to set
-/// exact expectations for reservoir-sampling statistics).
-double LogBinomial(std::int64_t n, std::int64_t k);
 
 }  // namespace dynhist
 

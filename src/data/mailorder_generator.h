@@ -8,7 +8,7 @@
 // own bucket. This generator reproduces exactly that structure: a dense set
 // of point-mass spikes at round price points (Zipf-weighted), superimposed
 // on a smooth log-normal-shaped body of small amounts, on the same domain
-// [0, 500] with the same record count. See DESIGN.md §4 (substitution 1).
+// [0, 500] with the same record count. See README "Substitutions", item 1.
 
 #ifndef DYNHIST_DATA_MAILORDER_GENERATOR_H_
 #define DYNHIST_DATA_MAILORDER_GENERATOR_H_

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "src/common/check.h"
 #include "src/histogram/budget.h"
@@ -16,7 +15,6 @@ ApproximateCompressedConfig MakeApproximateCompressedConfig(
   config.buckets = BucketBudget(memory_bytes, BucketLayout::kBorderCount);
   config.sample_capacity = static_cast<std::size_t>(std::max(
       1.0, disk_factor * memory_bytes / static_cast<double>(kBytesPerWord)));
-  config.gamma = -1.0;
   config.seed = seed;
   return config;
 }
@@ -25,7 +23,6 @@ ApproximateCompressedHistogram::ApproximateCompressedHistogram(
     const ApproximateCompressedConfig& config)
     : config_(config), sample_(config.sample_capacity, config.seed) {
   DH_CHECK(config.buckets >= 2);
-  DH_CHECK(config.gamma >= -1.0);
 }
 
 std::size_t ApproximateCompressedHistogram::FindBucket(
@@ -37,11 +34,6 @@ std::size_t ApproximateCompressedHistogram::FindBucket(
       [](double v, const Bucket& b) { return v < b.left; });
   if (it == buckets_.begin()) return 0;
   return static_cast<std::size_t>(it - buckets_.begin()) - 1;
-}
-
-double ApproximateCompressedHistogram::Threshold() const {
-  return (2.0 + config_.gamma) * total_ /
-         static_cast<double>(config_.buckets);
 }
 
 void ApproximateCompressedHistogram::RecomputeFromSample() {
@@ -61,56 +53,6 @@ void ApproximateCompressedHistogram::RecomputeFromSample() {
                         pieces[0].count * scale,
                         model.buckets()[b].singular});
   }
-}
-
-bool ApproximateCompressedHistogram::TrySplitMerge(std::size_t overflow) {
-  Bucket& over = buckets_[overflow];
-  if (over.singular || over.right - over.left < 2.0) return false;
-
-  // Approximate median of the overflowing bucket from the backing sample.
-  const auto& values = sample_.SortedValues();
-  const auto lo = std::lower_bound(values.begin(), values.end(),
-                                   static_cast<std::int64_t>(over.left));
-  const auto hi = std::lower_bound(values.begin(), values.end(),
-                                   static_cast<std::int64_t>(over.right));
-  if (hi - lo < 2) return false;
-  const std::int64_t median = *(lo + (hi - lo) / 2);
-  const auto split_at = static_cast<double>(median);
-  if (split_at <= over.left || split_at >= over.right) return false;
-
-  // The merge that pays for the split: cheapest adjacent pair under the
-  // threshold, not involving the overflowing bucket.
-  const double threshold = Threshold();
-  std::size_t best = buckets_.size();
-  double best_count = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i + 1 < buckets_.size(); ++i) {
-    if (i == overflow || i + 1 == overflow) continue;
-    if (buckets_[i].singular || buckets_[i + 1].singular) continue;
-    const double combined = buckets_[i].count + buckets_[i + 1].count;
-    if (combined <= threshold && combined < best_count) {
-      best_count = combined;
-      best = i;
-    }
-  }
-  if (best == buckets_.size()) return false;
-
-  ++split_merges_;
-  // Merge first, then split (indices shift down when the pair precedes the
-  // overflowing bucket).
-  buckets_[best].count += buckets_[best + 1].count;
-  buckets_[best].right = buckets_[best + 1].right;
-  buckets_.erase(buckets_.begin() + static_cast<std::ptrdiff_t>(best) + 1);
-  std::size_t target = overflow > best ? overflow - 1 : overflow;
-
-  Bucket& b = buckets_[target];
-  Bucket right_half = b;
-  right_half.left = split_at;
-  right_half.count = b.count / 2.0;
-  b.right = split_at;
-  b.count -= right_half.count;
-  buckets_.insert(buckets_.begin() + static_cast<std::ptrdiff_t>(target) + 1,
-                  right_half);
-  return true;
 }
 
 void ApproximateCompressedHistogram::Insert(std::int64_t value) {
@@ -135,16 +77,8 @@ void ApproximateCompressedHistogram::Insert(std::int64_t value) {
     index = FindBucket(value);
   }
   buckets_[index].count += 1.0;
-
-  if (config_.gamma <= -1.0) {
-    // Paper setting: "recomputed at any modification of the reservoir
-    // sample" (§7.2).
-    if (sample_changed) RecomputeFromSample();
-    return;
-  }
-  if (buckets_[index].count > Threshold() && !TrySplitMerge(index)) {
-    RecomputeFromSample();
-  }
+  // "Recomputed at any modification of the reservoir sample" (§7.2).
+  if (sample_changed) RecomputeFromSample();
 }
 
 void ApproximateCompressedHistogram::Delete(std::int64_t value,
@@ -154,15 +88,7 @@ void ApproximateCompressedHistogram::Delete(std::int64_t value,
   if (buckets_.empty()) return;
   const std::size_t index = FindBucket(value);
   buckets_[index].count = std::max(0.0, buckets_[index].count - 1.0);
-  if (config_.gamma <= -1.0) {
-    if (sample_changed) RecomputeFromSample();
-    return;
-  }
-  // Lazy path: a bucket starved far below the equi-depth share triggers a
-  // recompute (the full merge/split machinery of [10] applies on inserts).
-  const double lower = total_ / ((2.0 + config_.gamma) *
-                                 static_cast<double>(config_.buckets));
-  if (buckets_[index].count < lower) RecomputeFromSample();
+  if (sample_changed) RecomputeFromSample();
 }
 
 HistogramModel ApproximateCompressedHistogram::Model() const {

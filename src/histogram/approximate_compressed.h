@@ -4,17 +4,10 @@
 //
 // AC keeps a small approximate Compressed histogram in memory and a large
 // backing sample (ReservoirSample) "on disk" — by default twenty times the
-// main-memory budget (§7). Inserts increment the containing bucket's count.
-// The equi-depth constraint is relaxed up to a threshold
-//     T = (2 + gamma) * N / B :
-// when a bucket count exceeds T, the bucket is split at its median (located
-// in the backing sample) and, to keep B fixed, the cheapest adjacent bucket
-// pair whose merged count stays below T is merged; if no pair qualifies,
-// the whole histogram is recomputed from the backing sample.
-//
-// The paper runs AC at gamma = -1, its best-quality setting, where the
-// histogram "is recomputed at any modification of the reservoir sample"
-// (§7.2) — implemented here as an explicit fast path.
+// main-memory budget (§7). Inserts and deletes update the containing
+// bucket's count, and the histogram "is recomputed at any modification of
+// the reservoir sample" (§7.2), the paper's gamma = -1 setting. [10]'s lazy
+// variant (gamma > -1) is not implemented because the paper does not run it.
 
 #ifndef DYNHIST_HISTOGRAM_APPROXIMATE_COMPRESSED_H_
 #define DYNHIST_HISTOGRAM_APPROXIMATE_COMPRESSED_H_
@@ -37,9 +30,6 @@ struct ApproximateCompressedConfig {
   /// sample disk_factor x the histogram's memory: capacity =
   /// disk_factor * memory_bytes / kBytesPerWord.
   std::size_t sample_capacity = 5120;
-  /// Equi-depth relaxation; -1 recomputes on every sample modification
-  /// (paper's setting), larger values make maintenance lazier.
-  double gamma = -1.0;
   std::uint64_t seed = 0;
 };
 
@@ -63,9 +53,6 @@ class ApproximateCompressedHistogram final : public Histogram {
   /// Number of full recomputations from the backing sample.
   std::int64_t RecomputeCount() const { return recomputes_; }
 
-  /// Number of split+merge adjustments (gamma > -1 path).
-  std::int64_t SplitMergeCount() const { return split_merges_; }
-
   /// Current backing-sample occupancy (shrinks under deletions, Fig. 17).
   std::size_t SampleSize() const { return sample_.Size(); }
 
@@ -78,17 +65,13 @@ class ApproximateCompressedHistogram final : public Histogram {
   };
 
   std::size_t FindBucket(std::int64_t value) const;
-  double Threshold() const;
   void RecomputeFromSample();
-  // Returns true if a split+merge rebalance was possible under T.
-  bool TrySplitMerge(std::size_t overflow);
 
   ApproximateCompressedConfig config_;
   ReservoirSample sample_;
   std::vector<Bucket> buckets_;
   double total_ = 0.0;
   std::int64_t recomputes_ = 0;
-  std::int64_t split_merges_ = 0;
 };
 
 }  // namespace dynhist

@@ -253,14 +253,10 @@ std::size_t DynamicCompressedHistogram::NearestBucketWithWholePoint(
 
 void DynamicCompressedHistogram::Delete(std::int64_t value,
                                         std::int64_t /*live_copies_before*/) {
-  if (loading_) {
-    auto it = loading_counts_.find(value);
-    DH_CHECK(it != loading_counts_.end() && it->second > 0.0);
-    it->second -= 1.0;
-    total_ -= 1.0;
-    if (it->second == 0.0) loading_counts_.erase(it);
-    return;
-  }
+  DeleteN(value, 1);
+}
+
+void DynamicCompressedHistogram::DeleteOne(std::int64_t value) {
   std::size_t index = FindBucket(value);
   if (buckets_[index].count < 1.0) {
     // The bucket has spilled its mass elsewhere; remove the point from the
@@ -293,7 +289,7 @@ void DynamicCompressedHistogram::DeleteN(std::int64_t value,
   }
   // Some of the group must spill to neighbors; replay per point so each
   // deletion picks its nearest remaining whole point (§7.3).
-  for (std::int64_t i = 0; i < count; ++i) Delete(value, 1);
+  for (std::int64_t i = 0; i < count; ++i) DeleteOne(value);
 }
 
 void DynamicCompressedHistogram::Repartition() {

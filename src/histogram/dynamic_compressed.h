@@ -77,6 +77,10 @@ class DynamicCompressedHistogram final : public Histogram {
   // to the fullest bucket when no bucket holds a whole point.
   std::size_t NearestBucketWithWholePoint(std::size_t index,
                                           std::int64_t value) const;
+  // Removes one point after loading, from the value's bucket or, once that
+  // holds less than a point, its nearest bucket with one (§7.3). The
+  // per-point step DeleteN replays when a group does not fit the bucket.
+  void DeleteOne(std::int64_t value);
   void AddToBucket(std::size_t index, double delta);
   bool ChiSquareTriggered() const;
   void Repartition();

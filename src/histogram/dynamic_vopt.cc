@@ -441,19 +441,15 @@ void DynamicVOptHistogram::DeleteN(std::int64_t value, std::int64_t count) {
   }
   // Some of the group must spill to other counters; replay per point so
   // each deletion spirals outward from its own counter (§7.3).
-  for (std::int64_t i = 0; i < count; ++i) Delete(value, 1);
+  for (std::int64_t i = 0; i < count; ++i) DeleteOne(value);
 }
 
 void DynamicVOptHistogram::Delete(std::int64_t value,
                                   std::int64_t /*live_copies_before*/) {
-  if (loading_) {
-    auto it = loading_counts_.find(value);
-    DH_CHECK(it != loading_counts_.end() && it->second > 0.0);
-    it->second -= 1.0;
-    total_ -= 1.0;
-    if (it->second == 0.0) loading_counts_.erase(it);
-    return;
-  }
+  DeleteN(value, 1);
+}
+
+void DynamicVOptHistogram::DeleteOne(std::int64_t value) {
   const double x = static_cast<double>(value);
   const std::size_t index = FindBucketIndex(std::clamp(
       x, buckets_.front().left, buckets_.back().right - 1e-9));

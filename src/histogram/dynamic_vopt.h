@@ -155,6 +155,10 @@ class DynamicVOptHistogram final : public Histogram {
   // one-by-one replay.
   bool MaybeRepartition();
   void RepartitionUpTo(std::int64_t count);
+  // Removes one point after loading: from the value's own counter, else
+  // spiralling outward to the closest counter with mass (§7.3). The
+  // per-point step DeleteN replays when a group does not fit its counter.
+  void DeleteOne(std::int64_t value);
 
   // Fills `b.sub` with `total` spread equally (the paper's post-split
   // state: equal sub-counts, zero rho).

@@ -29,9 +29,10 @@ class Histogram {
   /// `live_copies_before` is the number of copies of `value` in the
   /// relation just before this deletion. The executor deletes a concrete
   /// tuple, so the count is always available to the system; histogram
-  /// classes that track only aggregates ignore it, while the sampling-
+  /// classes that track only aggregates ignore it (DC, DVO/DADO and
+  /// ST-FEEDBACK route Delete to DeleteN(value, 1)), while the sampling-
   /// backed AC histogram uses it to decide whether the deleted tuple was
-  /// in its backing sample (DESIGN.md §4, substitution 3).
+  /// in its backing sample (README "Substitutions", item 3).
   virtual void Delete(std::int64_t value,
                       std::int64_t live_copies_before) = 0;
 

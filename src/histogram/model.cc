@@ -1,7 +1,6 @@
 #include "src/histogram/model.h"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "src/common/check.h"
 
@@ -90,24 +89,6 @@ double HistogramModel::BucketCount(std::size_t b) const {
     sum += pieces_[ref.first_piece + i].count;
   }
   return sum;
-}
-
-std::string HistogramModel::DebugString() const {
-  std::string out;
-  char line[128];
-  std::snprintf(line, sizeof(line), "HistogramModel: %zu buckets, total %g\n",
-                buckets_.size(), total_);
-  out += line;
-  for (std::size_t b = 0; b < buckets_.size(); ++b) {
-    const BucketRef& ref = buckets_[b];
-    const Piece& first = pieces_[ref.first_piece];
-    const Piece& last = pieces_[ref.first_piece + ref.num_pieces - 1];
-    std::snprintf(line, sizeof(line), "  [%12.4f .. %12.4f) count=%-10.2f%s\n",
-                  first.left, last.right, BucketCount(b),
-                  ref.singular ? " (singular)" : "");
-    out += line;
-  }
-  return out;
 }
 
 }  // namespace dynhist

@@ -19,7 +19,6 @@
 #define DYNHIST_HISTOGRAM_MODEL_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace dynhist {
@@ -95,10 +94,6 @@ class HistogramModel {
 
   /// Total count in bucket b.
   double BucketCount(std::size_t b) const;
-
-  /// Human-readable bucket dump for logs and debugging, one bucket per
-  /// line: `[left .. right) count=... (singular)`.
-  std::string DebugString() const;
 
  private:
   std::vector<Piece> pieces_;

@@ -36,7 +36,8 @@ struct SsbmOptions {
   /// Deviation measure inside Eq. (4). The paper uses squared deviations.
   DeviationPolicy policy = DeviationPolicy::kSquared;
 
-  /// What the merge selection minimizes (ablation, DESIGN.md):
+  /// What the merge selection minimizes (ablation:
+  /// bench/ablation_ssbm_key.cc):
   enum class MergeKey {
     kMergedDeviation,    ///< rho of the merged bucket (the paper's rule)
     kDeviationIncrease,  ///< rho_M - rho_1 - rho_2 (delta-rho alternative)

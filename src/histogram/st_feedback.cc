@@ -129,19 +129,6 @@ double StFeedbackHistogram::ApplyFeedback(std::int64_t lo, std::int64_t hi,
   return abs_err;
 }
 
-double StFeedbackHistogram::ApplyFeedbackN(std::int64_t lo, std::int64_t hi,
-                                           double actual,
-                                           std::int64_t times) {
-  // Replayed one by one so the restructure cadence (and therefore the
-  // bucket trajectory) is bit-identical to uncoalesced application.
-  double first = -1.0;
-  for (std::int64_t i = 0; i < times; ++i) {
-    const double abs_err = ApplyFeedback(lo, hi, actual);
-    if (i == 0) first = abs_err;
-  }
-  return first;
-}
-
 void StFeedbackHistogram::Restructure() {
   const std::size_t n = buckets_.size();
   if (n < 2) return;

@@ -89,8 +89,6 @@ class StFeedbackHistogram final : public Histogram {
 
   double ApplyFeedback(std::int64_t lo, std::int64_t hi,
                        double actual) override;
-  double ApplyFeedbackN(std::int64_t lo, std::int64_t hi, double actual,
-                        std::int64_t times) override;
 
   HistogramModel Model() const override;
   double TotalCount() const override;

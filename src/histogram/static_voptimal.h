@@ -12,7 +12,7 @@
 // of buckets", §5/Fig. 13). We substitute an exact dynamic program over the
 // distinct-value partition points — O(D^2 · B) time with O(1) bucket costs
 // for SVO and Fenwick-tree order statistics for SADO — which returns the
-// same optimal partition (DESIGN.md §4, substitution 2).
+// same optimal partition (README "Substitutions", item 2).
 
 #ifndef DYNHIST_HISTOGRAM_STATIC_VOPTIMAL_H_
 #define DYNHIST_HISTOGRAM_STATIC_VOPTIMAL_H_

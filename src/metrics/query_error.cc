@@ -55,17 +55,6 @@ std::vector<RangeQuery> MakeDataQueries(const FrequencyVector& truth,
   return queries;
 }
 
-std::vector<RangeQuery> MakeOpenQueries(std::int64_t domain_size,
-                                        std::size_t count, Rng& rng) {
-  DH_CHECK(domain_size > 0);
-  std::vector<RangeQuery> queries;
-  queries.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    queries.push_back({0, rng.UniformInt(0, domain_size - 1)});
-  }
-  return queries;
-}
-
 double AvgRelativeErrorPercent(const FrequencyVector& truth,
                                const HistogramModel& model,
                                const std::vector<RangeQuery>& queries) {

@@ -35,10 +35,6 @@ std::vector<RangeQuery> MakeUniformQueries(std::int64_t domain_size,
 std::vector<RangeQuery> MakeDataQueries(const FrequencyVector& truth,
                                         std::size_t count, Rng& rng);
 
-/// `count` open range queries (A <= hi), represented with lo = 0.
-std::vector<RangeQuery> MakeOpenQueries(std::int64_t domain_size,
-                                        std::size_t count, Rng& rng);
-
 /// Eq. (7): average relative selectivity error in percent over `queries`.
 /// Queries with true size zero are skipped (relative error is undefined);
 /// if all queries are skipped the result is 0.

@@ -12,7 +12,7 @@
 //
 // Tuple identity is simulated by value counts: a deleted tuple of value v
 // is resident with probability s_v / N_v (copies in sample / live copies in
-// the relation) — see DESIGN.md §4, substitution 3.
+// the relation) — see README "Substitutions", item 3.
 //
 // The sample is kept sorted so the histogram recomputation can take
 // quantiles in O(log) per cut.

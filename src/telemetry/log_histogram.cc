@@ -49,33 +49,6 @@ double LogBucketer::UpperBound(std::size_t i) const {
   return static_cast<double>(bounds_[i]);
 }
 
-double LogHistogramSnapshot::Percentile(double q) const {
-  if (count == 0) return 0.0;
-  q = std::clamp(q, 0.0, 1.0);
-  const double rank = q * static_cast<double>(count);
-  std::uint64_t cumulative = 0;
-  for (std::size_t i = 0; i < counts.size(); ++i) {
-    if (counts[i] == 0) continue;
-    const std::uint64_t before = cumulative;
-    cumulative += counts[i];
-    if (static_cast<double>(cumulative) < rank) continue;
-    // Interpolate within the bucket; the open-ended last bucket spans
-    // toward the recorded max instead of infinity.
-    const double lo = static_cast<double>(bucketer.LowerBound(i));
-    double hi = bucketer.UpperBound(i);
-    if (!std::isfinite(hi)) hi = std::max(lo, static_cast<double>(max));
-    const double frac = counts[i] == 0
-                            ? 0.0
-                            : (rank - static_cast<double>(before)) /
-                                  static_cast<double>(counts[i]);
-    // Clamp to the recorded max: no quantile of the data can exceed it,
-    // and the top bucket's upper bound usually does.
-    return std::min(lo + (hi - lo) * std::clamp(frac, 0.0, 1.0),
-                    static_cast<double>(max));
-  }
-  return static_cast<double>(max);
-}
-
 LogHistogram::LogHistogram(LogBucketer bucketer)
     : bucketer_(std::move(bucketer)),
       counts_(new std::atomic<std::uint64_t>[bucketer_.bucket_count()]) {
@@ -89,29 +62,6 @@ void LogHistogram::Record(std::uint64_t value, std::uint64_t n) {
   counts_[bucketer_.BucketFor(value)].fetch_add(n,
                                                 std::memory_order_relaxed);
   sum_.fetch_add(value * n, std::memory_order_relaxed);
-  std::uint64_t prev = max_.load(std::memory_order_relaxed);
-  while (prev < value && !max_.compare_exchange_weak(
-                             prev, value, std::memory_order_relaxed)) {
-  }
-}
-
-void LogHistogram::Merge(const LogHistogram& other) {
-  Merge(other.Snapshot());
-}
-
-void LogHistogram::Merge(const LogHistogramSnapshot& other) {
-  DH_CHECK(bucketer_ == other.bucketer);
-  for (std::size_t i = 0; i < other.counts.size(); ++i) {
-    if (other.counts[i] != 0) {
-      counts_[i].fetch_add(other.counts[i], std::memory_order_relaxed);
-    }
-  }
-  sum_.fetch_add(other.sum, std::memory_order_relaxed);
-  std::uint64_t prev = max_.load(std::memory_order_relaxed);
-  while (prev < other.max && !max_.compare_exchange_weak(
-                                 prev, other.max,
-                                 std::memory_order_relaxed)) {
-  }
 }
 
 LogHistogramSnapshot LogHistogram::Snapshot() const {
@@ -123,7 +73,6 @@ LogHistogramSnapshot LogHistogram::Snapshot() const {
     snapshot.count += snapshot.counts[i];
   }
   snapshot.sum = sum_.load(std::memory_order_relaxed);
-  snapshot.max = max_.load(std::memory_order_relaxed);
   return snapshot;
 }
 

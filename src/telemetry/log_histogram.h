@@ -2,9 +2,8 @@
 //
 // Production telemetry systems summarize long-tailed quantities — latency
 // in nanoseconds, batch sizes, queue waits — with a fixed set of
-// logarithmically spaced buckets: resolution proportional to magnitude,
-// constant memory, and histograms that merge across threads and across
-// processes by adding bucket counts (HistogramTools, arXiv 2504.00001).
+// logarithmically spaced buckets: resolution proportional to magnitude and
+// constant memory (HistogramTools, arXiv 2504.00001).
 // This engine serves dynamic histograms of *data*; these are the
 // histograms it keeps about *itself*.
 //
@@ -16,12 +15,12 @@
 //     collides; ~2.4x resolution steps for k = 4.
 //
 // LogHistogram is thread-safe and wait-free on the record path: bucket
-// counts, the running sum, and the max are relaxed atomics. Snapshot()
-// materializes a plain struct for exposition, percentile math, and
-// tests; its total count is the sum of the bucket counts it read, so a
-// snapshot taken during concurrent Record()s is still a valid cumulative
-// histogram. Its sum and max agree with the buckets only at external
-// sync points, the same contract EngineStats documents.
+// counts and the running sum are relaxed atomics. Snapshot() materializes
+// a plain struct for exposition and tests; its total count is the sum of
+// the bucket counts it read, so a snapshot taken during concurrent
+// Record()s is still a valid cumulative histogram. Its sum agrees with the
+// buckets only at external sync points, the same contract EngineStats
+// documents.
 
 #ifndef DYNHIST_TELEMETRY_LOG_HISTOGRAM_H_
 #define DYNHIST_TELEMETRY_LOG_HISTOGRAM_H_
@@ -64,8 +63,6 @@ class LogBucketer {
 
   const std::vector<std::uint64_t>& bounds() const { return bounds_; }
 
-  friend bool operator==(const LogBucketer&, const LogBucketer&) = default;
-
  private:
   enum class Scheme { kPowersOfTwo, kGeneric };
   LogBucketer(Scheme scheme, std::vector<std::uint64_t> bounds)
@@ -77,23 +74,17 @@ class LogBucketer {
 
 /// Plain materialized view of a LogHistogram at one instant: per-bucket
 /// counts aligned with the bucketer's buckets, plus the running
-/// aggregates. Cheap value type; feeds exposition and percentile math.
+/// aggregates. Cheap value type; feeds exposition.
 struct LogHistogramSnapshot {
   LogBucketer bucketer = LogBucketer::PowersOfTwo();
   std::vector<std::uint64_t> counts;  ///< one per bucketer bucket
   std::uint64_t count = 0;            ///< total recorded values: the sum
                                       ///< of `counts`
   std::uint64_t sum = 0;              ///< sum of recorded values
-  std::uint64_t max = 0;              ///< largest recorded value
-
-  /// Estimated q-quantile (q in [0, 1]): finds the bucket holding the
-  /// rank and interpolates linearly inside it (the unbounded last bucket
-  /// interpolates toward the recorded max). 0 when empty.
-  double Percentile(double q) const;
 };
 
 /// A fixed-bucket log-scale histogram with atomic counts: wait-free
-/// Record() from any thread, mergeable by bucket-count addition.
+/// Record() from any thread.
 class LogHistogram {
  public:
   explicit LogHistogram(LogBucketer bucketer);
@@ -104,11 +95,6 @@ class LogHistogram {
   /// Adds `value` (optionally with multiplicity `n`) to its bucket.
   void Record(std::uint64_t value, std::uint64_t n = 1);
 
-  /// Adds every count of `other` into this histogram. The bucketers must
-  /// be identical (checked). The cross-thread aggregation primitive.
-  void Merge(const LogHistogram& other);
-  void Merge(const LogHistogramSnapshot& other);
-
   LogHistogramSnapshot Snapshot() const;
   const LogBucketer& bucketer() const { return bucketer_; }
 
@@ -116,7 +102,6 @@ class LogHistogram {
   const LogBucketer bucketer_;
   std::unique_ptr<std::atomic<std::uint64_t>[]> counts_;
   std::atomic<std::uint64_t> sum_{0};
-  std::atomic<std::uint64_t> max_{0};
 };
 
 }  // namespace dynhist::telemetry

@@ -26,7 +26,6 @@ TEST(ApproximateCompressedTest, PaperSizingHelper) {
   const auto config = MakeApproximateCompressedConfig(1024.0, 20.0, 0);
   EXPECT_EQ(config.buckets, 127);
   EXPECT_EQ(config.sample_capacity, 5'120u);
-  EXPECT_DOUBLE_EQ(config.gamma, -1.0);
 }
 
 TEST(ApproximateCompressedTest, TracksTotalsThroughInserts) {
@@ -74,46 +73,6 @@ TEST(ApproximateCompressedTest, DeletionsShrinkTheBackingSample) {
   Replay(with_deletes, &h, &truth);
   EXPECT_LT(h.SampleSize(), 200u);  // sample decimated alongside the data
   EXPECT_NEAR(h.TotalCount(), 400.0, 1e-6);
-}
-
-TEST(ApproximateCompressedTest, LazyGammaUsesSplitMerge) {
-  ApproximateCompressedConfig config = SmallConfig();
-  config.gamma = 1.0;  // threshold 3N/B: lazy maintenance path
-  ApproximateCompressedHistogram h(config);
-  Rng rng(6);
-  // Skewed inserts force repeated threshold violations.
-  for (int i = 0; i < 5'000; ++i) {
-    h.Insert(rng.Bernoulli(0.7) ? rng.UniformInt(0, 9)
-                                : rng.UniformInt(0, 99));
-  }
-  EXPECT_GT(h.SplitMergeCount() + h.RecomputeCount(), 0);
-  EXPECT_TRUE(testing::ModelIsValid(h.Model()));
-  EXPECT_DOUBLE_EQ(h.TotalCount(), 5'000.0);
-}
-
-TEST(ApproximateCompressedTest, LazyGammaIsLessAccurateThanEager) {
-  // The gamma knob trades maintenance work for quality ([10]); on a
-  // drifting distribution the eager setting should not lose.
-  ClusterDataConfig data_config;
-  data_config.num_points = 20'000;
-  data_config.domain_size = 1'001;
-  data_config.num_clusters = 50;
-  data_config.seed = 7;
-  const auto values = GenerateClusterData(data_config);
-
-  ApproximateCompressedConfig eager = SmallConfig();
-  eager.buckets = 32;
-  eager.sample_capacity = 1'024;
-  ApproximateCompressedConfig lazy = eager;
-  lazy.gamma = 2.0;
-
-  ApproximateCompressedHistogram he(eager), hl(lazy);
-  FrequencyVector t1(data_config.domain_size), t2(data_config.domain_size);
-  const auto stream = MakeSortedInsertStream(values);
-  Replay(stream, &he, &t1);
-  Replay(stream, &hl, &t2);
-  EXPECT_LE(KsStatistic(t1, he.Model()),
-            KsStatistic(t2, hl.Model()) + 0.05);
 }
 
 TEST(ApproximateCompressedTest, SingularBucketsForHeavyValues) {

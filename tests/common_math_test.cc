@@ -69,12 +69,5 @@ TEST(ChiSquareTest, ExtremeDeviationHasTinyProbability) {
   EXPECT_NEAR(ChiSquareProbability(0.0, 10.0), 1.0, 1e-12);
 }
 
-TEST(LogBinomialTest, SmallValues) {
-  EXPECT_NEAR(LogBinomial(5, 2), std::log(10.0), 1e-12);
-  EXPECT_NEAR(LogBinomial(10, 0), 0.0, 1e-12);
-  EXPECT_NEAR(LogBinomial(10, 10), 0.0, 1e-12);
-  EXPECT_NEAR(LogBinomial(52, 5), std::log(2598960.0), 1e-9);
-}
-
 }  // namespace
 }  // namespace dynhist

@@ -77,15 +77,6 @@ TEST(ModelTest, MinMaxBorder) {
   EXPECT_DOUBLE_EQ(model.MaxBorder(), 12.0);
 }
 
-TEST(ModelTest, DebugStringListsBuckets) {
-  HistogramModel model({{5, 6, 4.0}, {6, 10, 2.0}},
-                       {{0, 1, true}, {1, 1, false}});
-  const std::string dump = model.DebugString();
-  EXPECT_NE(dump.find("2 buckets"), std::string::npos);
-  EXPECT_NE(dump.find("(singular)"), std::string::npos);
-  EXPECT_NE(dump.find("count=4"), std::string::npos);
-}
-
 TEST(ModelDeathTest, RejectsUnsortedPieces) {
   EXPECT_DEATH(HistogramModel::FromSimpleBuckets({{10, 20, 1.0}, {0, 9, 1.0}}),
                "DH_CHECK");

@@ -62,14 +62,6 @@ TEST(QueryGeneratorsTest, DataQueriesFollowDistribution) {
   EXPECT_GT(at10, 250);
 }
 
-TEST(QueryGeneratorsTest, OpenQueriesAnchorAtZero) {
-  Rng rng(4);
-  for (const RangeQuery& q : MakeOpenQueries(100, 100, rng)) {
-    EXPECT_EQ(q.lo, 0);
-    EXPECT_LT(q.hi, 100);
-  }
-}
-
 TEST(QueryErrorTest, AgreesWithKsOnRelativeRanking) {
   // A much finer histogram should rank better under Eq. (7) as well.
   Rng rng(5);
