@@ -12,6 +12,9 @@
 //
 // Every arm is timed by bench_util.h's Interleave and printed in ns per
 // operation as median [p25, p75] n over the rounds. There are no gates.
+// An insert arm's relation grows for as long as the arm runs (about 4 s
+// over the 20 rounds), so AC, whose backing sample changes on about
+// capacity / N of the inserts, reads cheaper the longer it runs.
 // Flags: the shared bench flags, which change nothing here (~40 s).
 
 #include <cstdio>
