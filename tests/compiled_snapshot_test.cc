@@ -92,7 +92,7 @@ void ExpectExactParity(const HistogramModel& model, std::int64_t lo_probe,
         << "CdfMass at " << v;
     EXPECT_EQ(compiled.CdfMass(x), model.CdfMass(x))
         << "CdfMass at " << x;
-    EXPECT_EQ(compiled.EstimatePoint(v), model.EstimatePoint(v))
+    EXPECT_EQ(compiled.EstimateRange(v, v), model.EstimatePoint(v))
         << "point " << v;
   }
   Rng rng(42);
@@ -192,7 +192,7 @@ TEST(CompiledSnapshot, EmptyModelCompilesAttachedAndAnswersZero) {
   EXPECT_EQ(compiled.TotalCount(), 0.0);
   EXPECT_EQ(compiled.CdfMass(123.0), 0.0);
   EXPECT_EQ(compiled.EstimateRange(-1000, 1000), 0.0);
-  EXPECT_EQ(compiled.EstimatePoint(0), 0.0);
+  EXPECT_EQ(compiled.EstimateRange(0, 0), 0.0);
 }
 
 TEST(CompiledSnapshot, DefaultConstructedIsAbsent) {

@@ -348,11 +348,20 @@ TEST(EngineAsyncTest, BufferedOpsReportsUnappliedUpdates) {
   options.batch_size = 64;
   options.snapshot_every = 0;
   HistogramEngine engine(options);
+  // The key's dynhist_key_buffered_ops gauge in a scrape.
+  const auto buffered_ops = [&engine] {
+    std::string text;
+    engine.WriteMetricsPrometheus(&text);
+    const std::string series = "dynhist_key_buffered_ops{key=\"t.a\"} ";
+    const std::size_t pos = text.find(series);
+    return pos == std::string::npos
+               ? -1.0
+               : std::stod(text.substr(pos + series.size()));
+  };
   for (std::int64_t i = 0; i < 10; ++i) engine.Insert(kKey, i);
-  EXPECT_EQ(engine.BufferedOps(kKey), 10u);
-  engine.Flush(kKey);
-  EXPECT_EQ(engine.BufferedOps(kKey), 0u);
-  EXPECT_EQ(engine.BufferedOps("unknown"), 0u);
+  EXPECT_EQ(buffered_ops(), 10.0);
+  engine.FlushAll();
+  EXPECT_EQ(buffered_ops(), 0.0);
 }
 
 }  // namespace

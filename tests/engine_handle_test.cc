@@ -57,7 +57,7 @@ TEST(EngineHandleTest, LeaseMissesCountPublishesObservedNotQueries) {
 
   for (int q = 0; q < 100; ++q) engine.EstimateRange(h, 0, kDomain);
   engine.RefreshSnapshot(kKey);  // publish #2
-  for (int q = 0; q < 100; ++q) engine.EstimateEquals(h, 7);
+  for (int q = 0; q < 100; ++q) engine.EstimateRange(h, 7, 7);
 
   const EngineStats st = engine.Stats(h);
   EXPECT_EQ(st.publishes, 2u);
@@ -183,8 +183,8 @@ TEST(EngineHandleTest, BatchParityWithScalarQueries) {
         static_cast<std::int64_t>(rng.UniformInt(0, kDomain - 1));
     queries.push_back({lo, std::min<std::int64_t>(kDomain - 1, lo + 200)});
   }
-  const std::vector<double> batch = engine.EstimateRangeBatch(h, queries);
-  ASSERT_EQ(batch.size(), queries.size());
+  std::vector<double> batch(queries.size());
+  engine.EstimateRangeBatch(h, queries.data(), queries.size(), batch.data());
   EXPECT_EQ(engine.Stats(h).queries, 256u);
 
   for (std::size_t q = 0; q < queries.size(); ++q) {
@@ -211,10 +211,10 @@ TEST(EngineHandleTest, UnknownAndUnpublishedFallbacksUnified) {
   EXPECT_EQ(engine.EstimateRange("real", 0, 10), 0.0);
   const KeyHandle h = engine.Resolve("real");
   EXPECT_EQ(engine.EstimateRange(h, 0, 10), 0.0);
-  std::vector<RangeQuery> span(3, RangeQuery{0, 10});
-  for (const double r : engine.EstimateRangeBatch(h, span)) {
-    EXPECT_EQ(r, 0.0);
-  }
+  const RangeQuery span[3] = {{0, 10}, {0, 10}, {0, 10}};
+  double answers[3] = {-1.0, -1.0, -1.0};
+  engine.EstimateRangeBatch(h, span, 3, answers);
+  for (const double r : answers) EXPECT_EQ(r, 0.0);
 
   EngineStats st = engine.Stats();
   EXPECT_EQ(st.unknown_queries, 6u);  // 1 ghost + 2 scalar + 3 batch

@@ -239,9 +239,10 @@ TEST(EngineTelemetryTest, ExpositionIsPinnedForADeterministicScenario) {
   for (int i = 0; i < 10; ++i) engine.Delete("orders.amount", i);
   engine.InsertBatch("orders.amount", {3, 4, kMaxValue + 1, 5, kMinValue - 1});
   engine.Insert("orders.amount", kMaxValue + 1);
-  engine.RecordFeedback("feedback.col", 0, 99, 50.0);
-  engine.RecordFeedback("feedback.col", 10, 5, 1.0);  // lo > hi
-  engine.RecordFeedback("feedback.col", 0, 9, -1.0);  // negative actual
+  const KeyHandle feedback = engine.Resolve("feedback.col");
+  engine.RecordFeedback(feedback, 0, 99, 50.0);
+  engine.RecordFeedback(feedback, 10, 5, 1.0);  // lo > hi
+  engine.RecordFeedback(feedback, 0, 9, -1.0);  // negative actual
   engine.RefreshSnapshot("orders.amount");
   EXPECT_EQ(engine.PumpPublishes(), 1u);  // elided: the refresh covered it
   engine.RefreshSnapshot("feedback.col");
@@ -249,9 +250,11 @@ TEST(EngineTelemetryTest, ExpositionIsPinnedForADeterministicScenario) {
   const KeyHandle handle = engine.Resolve("orders.amount");
   const KeyHandle never = engine.Resolve("never.published");
   engine.EstimateRange("orders.amount", 0, 10);
-  engine.EstimateEquals("orders.amount", 3);
+  engine.EstimateRange("orders.amount", 3, 3);
   engine.EstimateRange(handle, 5, 20);
-  engine.EstimateRangeBatch(handle, {{0, 4}, {5, 9}, {10, 24}});
+  const RangeQuery batch[] = {{0, 4}, {5, 9}, {10, 24}};
+  double answers[3];
+  engine.EstimateRangeBatch(handle, batch, 3, answers);
   engine.LeasedSnapshot(handle);
   engine.EstimateRange(never, 0, 1);
   engine.EstimateRange("no.such.key", 0, 1);
@@ -284,7 +287,7 @@ TEST(EngineTelemetryTest, IngestDistributionsRecordAtBatchGranularity) {
   // Eight copies of one value in a 4-op-batch engine: at least one drain
   // records a batch size, and coalescing collapses a run of >= 2.
   engine.InsertBatch("k", {5, 5, 5, 5, 5, 5, 5, 5});
-  engine.Flush("k");
+  engine.FlushAll();
   const std::string text = Prometheus(engine);
   EXPECT_GT(MetricValue(text, "dynhist_ingest_batch_ops_count"), 0.0);
   EXPECT_GT(MetricValue(text, "dynhist_coalesce_run_length_count"), 0.0);

@@ -54,7 +54,7 @@ TEST(HistogramEngineTest, UnknownKeyYieldsEmptyEpochZeroSnapshot) {
   EXPECT_EQ(snapshot.epoch(), 0u);
   EXPECT_EQ(snapshot.TotalCount(), 0.0);
   EXPECT_EQ(engine.EstimateRange("nope", 0, kDomain), 0.0);
-  EXPECT_EQ(engine.EstimateEquals("nope", 5), 0.0);
+  EXPECT_EQ(engine.EstimateRange("nope", 5, 5), 0.0);
 }
 
 TEST(HistogramEngineTest, SingleThreadSnapshotKsCloseToDirectHistogram) {
@@ -89,8 +89,8 @@ TEST(HistogramEngineTest, EstimatesMatchSnapshotModel) {
   EXPECT_DOUBLE_EQ(engine.EstimateRange(kKey, 0, 99),
                    snapshot.EstimateRange(0, 99));
   EXPECT_NEAR(engine.EstimateRange(kKey, 0, 99), 1'000.0, 1.0);
-  EXPECT_DOUBLE_EQ(engine.EstimateEquals(kKey, 5),
-                   snapshot.EstimateEquals(5));
+  EXPECT_DOUBLE_EQ(engine.EstimateRange(kKey, 5, 5),
+                   snapshot.EstimateRange(5, 5));
 }
 
 TEST(HistogramEngineTest, HeldSnapshotIsImmutableUnderLaterUpdates) {
@@ -189,14 +189,15 @@ TEST(HistogramEngineTest, CadenceCountsAcceptedInsertsDeletesAndFeedbacks) {
   engine.Insert(kKey, 5);                                 // 5
   for (std::int64_t v = 1; v <= 3; ++v) engine.Delete(kKey, v);  // 8
   engine.Delete(kKey, kMaxValue + 1);
-  engine.RecordFeedback(kKey, 10, 5, 1.0);  // lo > hi
-  engine.RecordFeedback(kKey, 0, 9, 2.0);   // 9
-  engine.RecordFeedback(kKey, 0, 9, std::numeric_limits<double>::quiet_NaN());
-  engine.RecordFeedback(kKey, 0, 9, 2.0);   // 10
-  engine.Insert(kKey, 6);                   // 11
+  const KeyHandle key = engine.Resolve(kKey);
+  engine.RecordFeedback(key, 10, 5, 1.0);  // lo > hi
+  engine.RecordFeedback(key, 0, 9, 2.0);   // 9
+  engine.RecordFeedback(key, 0, 9, std::numeric_limits<double>::quiet_NaN());
+  engine.RecordFeedback(key, 0, 9, 2.0);   // 10
+  engine.Insert(kKey, 6);                  // 11
   EXPECT_EQ(engine.Stats(kKey).publishes, 0u);
 
-  engine.RecordFeedback(kKey, 0, 9, 2.0);   // 12: the cadence trips
+  engine.RecordFeedback(key, 0, 9, 2.0);   // 12: the cadence trips
   const EngineStats stats = engine.Stats(kKey);
   EXPECT_EQ(stats.publishes, 1u);
   EXPECT_EQ(stats.rejected_values, 3u);
@@ -350,7 +351,8 @@ void ExpectFeedbackRejected(std::int64_t lo, std::int64_t hi, double actual) {
   EngineOptions options = TestOptions();
   options.kind = ShardHistogramKind::kStFeedback;
   HistogramEngine engine(options);
-  engine.RecordFeedback(kKey, lo, hi, actual);
+  const KeyHandle key = engine.Resolve(kKey);
+  engine.RecordFeedback(key, lo, hi, actual);
   EXPECT_EQ(engine.LiveTotalCount(kKey), 0.0);
   EXPECT_EQ(engine.Stats().rejected_feedbacks, 1u);
   EXPECT_EQ(engine.Stats(kKey).feedbacks, 0u);
@@ -360,7 +362,7 @@ void ExpectFeedbackRejected(std::int64_t lo, std::int64_t hi, double actual) {
                       "reason=\"feedback\"} 1\n"),
             std::string::npos);
 
-  engine.RecordFeedback(kKey, 10, 19, 80.0);
+  engine.RecordFeedback(key, 10, 19, 80.0);
   EXPECT_GT(engine.LiveTotalCount(kKey), 0.0);
   EXPECT_EQ(engine.Stats(kKey).feedbacks, 1u);
   EXPECT_EQ(engine.Stats(kKey).rejected_feedbacks, 1u);

@@ -438,7 +438,7 @@ TEST(SparseMassTest, FeedbackSpreadOverTheWholeDomainIsPublished) {
   engine::HistogramEngine engine(options);
   for (std::int64_t v = 0; v < 100; ++v) engine.Insert("st", v);
   constexpr std::int64_t kHalf = std::int64_t{1} << 52;
-  engine.RecordFeedback("st", -kHalf, kHalf - 1, 100.0);
+  engine.RecordFeedback(engine.Resolve("st"), -kHalf, kHalf - 1, 100.0);
   ExpectPublishedTotalNear(engine, "st", 1e-9);
 }
 

@@ -269,7 +269,7 @@ TEST(StFeedbackEngineTest, FeedbackOnDataDrivenKeyIsAnAcceptedNoOp) {
   engine::HistogramEngine engine(options);
 
   engine.Insert("data.key", 5);
-  engine.RecordFeedback("data.key", 0, 999, 1e6);
+  engine.RecordFeedback(engine.Resolve("data.key"), 0, 999, 1e6);
   engine.RefreshSnapshot("data.key");
   EXPECT_NEAR(engine.EstimateRange("data.key", 0, 999), 1.0, 1e-9);
   EXPECT_EQ(engine.Stats("data.key").feedbacks, 1u);

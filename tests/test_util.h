@@ -143,7 +143,7 @@ inline void ApplyToEngine(engine::HistogramEngine& engine,
       engine.Delete(key, op.value);
       break;
     case UpdateOp::Kind::kFeedback:
-      engine.RecordFeedback(key, op.value, op.hi, op.actual);
+      engine.RecordFeedback(engine.Resolve(key), op.value, op.hi, op.actual);
       break;
   }
 }
