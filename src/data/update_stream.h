@@ -23,7 +23,7 @@ namespace dynhist {
 /// attribute value; kFeedback carries a query-feedback observation (the
 /// range [value, hi] returned `actual` tuples — see
 /// Histogram::ApplyFeedback) and rides the same shard buffers as data
-/// ops so feedback is batched and coalesced like everything else.
+/// ops, so feedback is batched like everything else.
 struct UpdateOp {
   enum class Kind : std::uint8_t { kInsert, kDelete, kFeedback };
   Kind kind = Kind::kInsert;
@@ -36,8 +36,6 @@ struct UpdateOp {
   static UpdateOp Feedback(std::int64_t lo, std::int64_t hi, double actual) {
     return {Kind::kFeedback, lo, hi, actual};
   }
-
-  friend bool operator==(const UpdateOp&, const UpdateOp&) = default;
 };
 
 using UpdateStream = std::vector<UpdateOp>;

@@ -57,7 +57,6 @@ void FrameServer::Stop() {
   }
   for (auto& [fd, conn] : connections_) ::close(fd);
   connections_.clear();
-  connections_active_.store(0);
   for (int* fd : {&listen_fd_, &epoll_fd_, &wake_fd_}) {
     if (*fd >= 0) {
       ::close(*fd);
@@ -134,7 +133,6 @@ void FrameServer::AcceptPending() {
     }
     connections_.emplace(fd, std::move(conn));
     connections_accepted_.fetch_add(1);
-    connections_active_.fetch_add(1);
   }
 }
 
@@ -286,7 +284,6 @@ void FrameServer::CloseConnection(int fd) {
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
   ::close(fd);
   connections_.erase(it);
-  connections_active_.fetch_sub(1);
 }
 
 }  // namespace dynhist::distributed

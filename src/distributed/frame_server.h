@@ -57,15 +57,10 @@ class FrameServer {
   /// The bound port (after Start(); meaningful with Options::port == 0).
   std::uint16_t port() const { return port_; }
 
-  bool running() const { return running_.load(); }
-
   Aggregator& aggregator() { return aggregator_; }
 
   std::uint64_t connections_accepted() const {
     return connections_accepted_.load();
-  }
-  std::uint64_t connections_active() const {
-    return connections_active_.load();
   }
   std::uint64_t protocol_errors() const { return protocol_errors_.load(); }
 
@@ -110,7 +105,6 @@ class FrameServer {
   std::map<int, std::unique_ptr<Connection>> connections_;
 
   std::atomic<std::uint64_t> connections_accepted_{0};
-  std::atomic<std::uint64_t> connections_active_{0};
   std::atomic<std::uint64_t> protocol_errors_{0};
 };
 

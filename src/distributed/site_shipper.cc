@@ -8,15 +8,9 @@ std::size_t SiteShipper::Ship(const Sink& sink, bool force) {
   std::size_t shipped = 0;
   for (const std::string& key : engine_->Keys()) {
     const engine::EngineSnapshot snap = engine_->Snapshot(key);
-    if (snap.epoch() == 0) {
-      ++frames_skipped_;
-      continue;
-    }
+    if (snap.epoch() == 0) continue;
     std::uint64_t& last = shipped_epoch_[key];
-    if (!force && snap.epoch() <= last) {
-      ++frames_skipped_;
-      continue;
-    }
+    if (!force && snap.epoch() <= last) continue;
     FrameHeader header;
     header.site_id = site_id_;
     header.key = key;
@@ -27,8 +21,6 @@ std::size_t SiteShipper::Ship(const Sink& sink, bool force) {
     // old epoch, so the next round offers it again.
     if (!sink(frame)) break;
     if (last < snap.epoch()) last = snap.epoch();
-    ++frames_shipped_;
-    bytes_shipped_ += frame.size();
     ++shipped;
   }
   return shipped;

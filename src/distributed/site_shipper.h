@@ -42,22 +42,13 @@ class SiteShipper {
   /// Ships every key whose published epoch advanced past the last
   /// shipped one (all published keys when `force`). Never-published
   /// keys (epoch 0) are always skipped — there is nothing to say.
-  /// Returns the number of frames `sink` accepted; frames_shipped() and
-  /// bytes_shipped() count those frames only.
+  /// Returns the number of frames `sink` accepted.
   std::size_t Ship(const Sink& sink, bool force = false);
-
-  std::uint32_t site_id() const { return site_id_; }
-  std::uint64_t frames_shipped() const { return frames_shipped_; }
-  std::uint64_t frames_skipped() const { return frames_skipped_; }
-  std::uint64_t bytes_shipped() const { return bytes_shipped_; }
 
  private:
   engine::HistogramEngine* engine_;
   const std::uint32_t site_id_;
   std::unordered_map<std::string, std::uint64_t> shipped_epoch_;
-  std::uint64_t frames_shipped_ = 0;
-  std::uint64_t frames_skipped_ = 0;
-  std::uint64_t bytes_shipped_ = 0;
 };
 
 }  // namespace dynhist::distributed

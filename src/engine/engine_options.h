@@ -44,8 +44,9 @@ struct EngineOptions {
   /// reorders operations across values inside one batch and takes
   /// weighted maintenance steps, so the exact bucket-border trajectory
   /// differs from a one-by-one replay (estimation quality and total mass
-  /// do not). 1 applies every update immediately and replays ops one by
-  /// one in push order.
+  /// do not). Feedback observations are not coalesced: they apply one by
+  /// one, in push order. 1 applies every update immediately and replays
+  /// ops one by one in push order.
   int batch_size = 64;
 
   /// Updates (per key) between automatic snapshot publications. 0 disables
@@ -74,25 +75,22 @@ struct EngineOptions {
   StFeedbackConfig st_feedback{};
 
   /// Publish off the writer thread: when a key's `snapshot_every` cadence
-  /// fires, the writer enqueues a publish request onto a bounded queue and
-  /// returns immediately; merge workers drain the queue, coalescing
-  /// duplicate requests for one key (only the newest state matters). False
-  /// (the default) keeps today's synchronous publish-on-writer-thread
-  /// behavior bit for bit. RefreshSnapshot()/RefreshAll() always publish
-  /// inline regardless of this flag.
+  /// fires, the writer enqueues a publish request and returns
+  /// immediately; merge workers drain the queue. A key holds at most one
+  /// queued request (a request means "publish the key's newest state", so
+  /// later trips ride along), so the key count bounds the queue. A trip
+  /// is refused only once StopPublishWorkers() has begun. False (the
+  /// default) publishes synchronously on the writer thread.
+  /// RefreshSnapshot()/RefreshAll() always publish inline regardless of
+  /// this flag.
   bool async_publish = false;
 
-  /// Merge workers draining the publish queue. Spawned lazily on the first
-  /// enqueue, so purely synchronous engines never start a thread. 0 is
-  /// manual-pump mode: nothing drains the queue until PumpPublishes() /
-  /// DrainPublishes() — the deterministic executor the test harness steps.
+  /// Merge workers draining the publish queue, started with the engine
+  /// when `async_publish` is set (a synchronous engine starts no thread).
+  /// 0 is manual-pump mode: nothing drains the queue until
+  /// PumpPublishes() / DrainPublishes() — the deterministic executor the
+  /// test harness steps.
   int merge_workers = 1;
-
-  /// Bound of the publish-request queue. Coalescing keeps at most one
-  /// entry per key, so this caps the number of keys with an outstanding
-  /// publish; a full queue rejects the request (counted in EngineStats)
-  /// and the key retries at its next cadence trip.
-  int publish_queue_capacity = 1024;
 
   /// Telemetry (src/telemetry/): latency/size distributions, the event
   /// trace ring (the newest 4096 publish/merge/flush/reject events, which

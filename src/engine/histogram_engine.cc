@@ -161,7 +161,12 @@ HistogramEngine::HistogramEngine(const EngineOptions& options)
   DH_CHECK(options_.snapshot_every >= 0);
   DH_CHECK(options_.merged_buckets >= 0);
   DH_CHECK(options_.merge_workers >= 0);
-  DH_CHECK(options_.publish_queue_capacity >= 0);
+  if (options_.async_publish) {
+    workers_.reserve(static_cast<std::size_t>(options_.merge_workers));
+    for (int i = 0; i < options_.merge_workers; ++i) {
+      workers_.emplace_back([this] { MergeWorkerLoop(); });
+    }
+  }
 }
 
 HistogramEngine::~HistogramEngine() {
@@ -258,11 +263,6 @@ void HistogramEngine::InsertBatch(std::string_view key,
   MaybeAutoPublish(*state);
 }
 
-void HistogramEngine::RecordFeedback(std::string_view key, std::int64_t lo,
-                                     std::int64_t hi, double actual) {
-  RecordFeedback(Resolve(key), lo, hi, actual);
-}
-
 void HistogramEngine::RecordFeedback(const KeyHandle& handle, std::int64_t lo,
                                      std::int64_t hi, double actual) {
   DH_CHECK(handle.valid());
@@ -293,18 +293,14 @@ void HistogramEngine::RecordFeedback(const KeyHandle& handle, std::int64_t lo,
   // predicate does not hash to one shard the way a value does, so each
   // shard trains toward its expected share and the publish-time
   // Superimpose sums the shares back to the full cardinality. The op
-  // rides the normal batch buffer (coalesced like inserts) and counts
-  // one update toward the publish cadence.
+  // rides the normal batch buffer and counts one update toward the
+  // publish cadence.
   const double share =
       actual / static_cast<double>(state.shards.size());
   const UpdateOp op = UpdateOp::Feedback(lo, hi, share);
   for (const auto& shard : state.shards) shard->Push(op);
   state.counters.feedbacks.fetch_add(1, std::memory_order_release);
   MaybeAutoPublish(state);
-}
-
-void HistogramEngine::Flush(std::string_view key) {
-  if (KeyState* state = FindKey(key)) FlushShards(*state);
 }
 
 void HistogramEngine::FlushAll() {
@@ -378,16 +374,6 @@ EngineSnapshot HistogramEngine::PublishExternal(std::string_view key,
 
 double HistogramEngine::EstimateRange(std::string_view key, std::int64_t lo,
                                       std::int64_t hi) const {
-  return EstimateImpl(key, lo, hi);
-}
-
-double HistogramEngine::EstimateEquals(std::string_view key,
-                                       std::int64_t v) const {
-  return EstimateImpl(key, v, v);
-}
-
-double HistogramEngine::EstimateImpl(std::string_view key, std::int64_t lo,
-                                     std::int64_t hi) const {
   // Thin wrapper: the one transparent registry find, then the shared
   // estimate body on a per-call shared_ptr acquisition (no lease — see
   // the header on why transient string lookups stay off the TLS cache).
@@ -449,11 +435,6 @@ double HistogramEngine::EstimateRange(const KeyHandle& handle,
   return EstimateOnState(state, lease.model(), lo, hi);
 }
 
-double HistogramEngine::EstimateEquals(const KeyHandle& handle,
-                                       std::int64_t v) const {
-  return EstimateRange(handle, v, v);
-}
-
 void HistogramEngine::EstimateRangeBatch(const KeyHandle& handle,
                                          const RangeQuery* queries,
                                          std::size_t count,
@@ -480,14 +461,6 @@ void HistogramEngine::EstimateRangeBatch(const KeyHandle& handle,
   for (std::size_t i = 0; i < count; ++i) {
     results[i] = vm->compiled.EstimateRange(queries[i].lo, queries[i].hi);
   }
-}
-
-std::vector<double> HistogramEngine::EstimateRangeBatch(
-    const KeyHandle& handle, const std::vector<RangeQuery>& queries) const {
-  std::vector<double> results(queries.size(), 0.0);
-  EstimateRangeBatch(handle, queries.data(), queries.size(),
-                     results.data());
-  return results;
 }
 
 EngineSnapshot HistogramEngine::LeasedSnapshot(
@@ -698,8 +671,7 @@ void HistogramEngine::MaybeAutoPublish(KeyState& state) {
   const std::int64_t every = options_.snapshot_every;
   if (every <= 0) return;
   const std::uint64_t count = UpdateCount(state);
-  if (options_.async_publish &&
-      !workers_stopped_.load(std::memory_order_acquire)) {
+  if (options_.async_publish) {
     // Async cadence measures from the newer of "last published" and "last
     // requested": a queued request already covers everything up to
     // requested_at, so only genuinely new updates re-trip.
@@ -745,15 +717,12 @@ void HistogramEngine::RequestAsyncPublish(KeyState& state,
   bool rejected = false;
   {
     std::lock_guard<std::mutex> lock(queue_mu_);
-    if (!queue_stopping_ &&
-        publish_queue_.size() <
-            static_cast<std::size_t>(options_.publish_queue_capacity)) {
+    if (!queue_stopping_) {
       publish_queue_.push_back(&state);
-      EnsureWorkersLocked();
     } else {
-      // Queue full (or engine stopping): drop the request and clear the
-      // pending flag so the key's next cadence trip retries. Staleness
-      // stays bounded by one extra snapshot_every of updates.
+      // The workers are stopping: refuse the request and clear the
+      // pending flag, so the key's next cadence trip is refused and
+      // counted the same way. RefreshSnapshot/RefreshAll still publish.
       state.publish_pending.store(false, std::memory_order_release);
       rejected = true;
     }
@@ -771,15 +740,6 @@ void HistogramEngine::RequestAsyncPublish(KeyState& state,
   }
   state.counters.publish_queued.fetch_add(1, std::memory_order_release);
   queue_cv_.notify_one();
-}
-
-void HistogramEngine::EnsureWorkersLocked() {
-  if (workers_spawned_ || options_.merge_workers <= 0) return;
-  workers_spawned_ = true;
-  workers_.reserve(static_cast<std::size_t>(options_.merge_workers));
-  for (int i = 0; i < options_.merge_workers; ++i) {
-    workers_.emplace_back([this] { MergeWorkerLoop(); });
-  }
 }
 
 bool HistogramEngine::RunOneQueuedPublish() {
@@ -854,16 +814,14 @@ std::size_t HistogramEngine::PumpPublishes(std::size_t max_requests) {
 }
 
 void HistogramEngine::DrainPublishes() {
-  {
-    std::unique_lock<std::mutex> lock(queue_mu_);
-    if (workers_spawned_) {
-      drain_cv_.wait(lock, [this] {
-        return publish_queue_.empty() && publishes_in_flight_ == 0;
-      });
-      return;
-    }
+  if (options_.merge_workers == 0) {
+    PumpPublishes();  // manual-pump mode: drain inline
+    return;
   }
-  PumpPublishes();  // manual-pump mode: drain inline
+  std::unique_lock<std::mutex> lock(queue_mu_);
+  drain_cv_.wait(lock, [this] {
+    return publish_queue_.empty() && publishes_in_flight_ == 0;
+  });
 }
 
 void HistogramEngine::StopPublishWorkers() {
@@ -874,23 +832,15 @@ void HistogramEngine::StopPublishWorkers() {
   queue_cv_.notify_all();
   for (std::thread& worker : workers_) worker.join();
   workers_.clear();
-  workers_stopped_.store(true, std::memory_order_release);
-  // Manual-pump mode, or stragglers that slipped in while the workers were
-  // exiting: finish them inline so nothing queued is ever lost.
+  // Manual-pump mode: finish the queue inline so nothing accepted before
+  // the stop is lost. (Workers drain it before they exit, and no request
+  // is accepted once queue_stopping_ is set.)
   PumpPublishes();
 }
 
 std::size_t HistogramEngine::PublishQueueDepth() const {
   std::lock_guard<std::mutex> lock(queue_mu_);
   return publish_queue_.size();
-}
-
-std::size_t HistogramEngine::BufferedOps(std::string_view key) const {
-  const KeyState* state = FindKey(key);
-  if (state == nullptr) return 0;
-  std::size_t buffered = 0;
-  for (const auto& shard : state->shards) buffered += shard->BufferedOps();
-  return buffered;
 }
 
 EngineSnapshot HistogramEngine::Publish(KeyState& state,

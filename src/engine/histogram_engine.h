@@ -15,8 +15,8 @@
 //                                   │   VersionedModel, published by atomic
 //                                   │   shared_ptr swap
 //                                   ▼
-//   readers ── Snapshot()/EstimateRange()/EstimateEquals(): lock-free reads
-//              of the last published epoch; never touch the write locks.
+//   readers ── Snapshot()/EstimateRange(): lock-free reads of the last
+//              published epoch; never touch the write locks.
 //
 // The merge step is exactly the §8 shared-nothing machinery: each shard is
 // a "site" whose histogram covers the subset of values hashing to it, the
@@ -29,14 +29,14 @@
 // writer that trips a key's snapshot_every cadence performs the merge
 // inline — simple, but that writer's latency spikes by the full merge
 // cost each epoch. Asynchronous (EngineOptions::async_publish): the
-// tripping writer enqueues a publish request on a bounded queue and
-// returns immediately; lazily-spawned merge workers drain the queue,
-// coalescing duplicate requests for one key (a request is "publish the
-// key's newest state", so N trips while one is queued still cost one
-// merge), and publish under the same per-key publish_mu the sync path
-// uses. merge_workers == 0 is manual-pump mode: the queue drains only
-// through PumpPublishes()/DrainPublishes(), which is what the
-// deterministic engine tests step.
+// tripping writer enqueues a publish request and returns immediately;
+// merge workers, started with the engine, drain the queue and publish
+// under the same per-key publish_mu the sync path uses. A key holds at
+// most one queued request (a request is "publish the key's newest
+// state", so N trips while one is queued still cost one merge), so the
+// key count bounds the queue. merge_workers == 0 is manual-pump mode:
+// the queue drains only through PumpPublishes()/DrainPublishes(), which
+// is what the deterministic engine tests step.
 //
 // Consistency model: a snapshot merges every shard, but shards are
 // flushed and exported one after another while writers keep pushing, so
@@ -136,7 +136,8 @@ struct EngineStats {
   std::uint64_t publish_queued = 0;     ///< requests accepted onto the queue
   std::uint64_t publish_coalesced = 0;  ///< cadence trips absorbed by an
                                         ///< already-pending request
-  std::uint64_t publish_rejected = 0;   ///< requests dropped, queue full
+  std::uint64_t publish_rejected = 0;   ///< cadence trips refused after
+                                        ///< StopPublishWorkers() began
   std::uint64_t publish_skipped = 0;    ///< drained requests whose updates
                                         ///< an inline refresh had already
                                         ///< published (merge elided)
@@ -193,21 +194,18 @@ class HistogramEngine {
   /// 1/shards — a range does not hash to one shard the way a value
   /// does, so each shard trains toward its 1/shards share and the
   /// publish-time Superimpose sums the shares back to the full
-  /// cardinality. Feedback rides the normal batch buffers (coalesced
-  /// like inserts — see EngineShard), counts one update toward the
+  /// cardinality. Feedback rides the normal batch buffers (applied one by
+  /// one, in push order — see EngineShard), counts one update toward the
   /// publish cadence, and is a no-op on data-driven backends (DC/DVO/
   /// DADO ignore it), so it is safe against any key. An observation with
   /// lo > hi, or with a negative, NaN or infinite `actual`, is dropped
   /// and counted in EngineStats::rejected_feedbacks and
   /// dynhist_key_rejected_ops_total{reason="feedback"}. Thread-safe.
-  void RecordFeedback(std::string_view key, std::int64_t lo, std::int64_t hi,
-                      double actual);
   void RecordFeedback(const KeyHandle& handle, std::int64_t lo,
                       std::int64_t hi, double actual);
 
-  /// Drains every shard buffer of `key` (all keys for FlushAll) into the
-  /// underlying histograms. Does not publish.
-  void Flush(std::string_view key);
+  /// Drains every shard buffer of every key into the underlying
+  /// histograms. Does not publish.
   void FlushAll();
 
   /// The last published snapshot for `key`. Lock-free on the hot path: one
@@ -258,23 +256,20 @@ class HistogramEngine {
   void DrainPublishes();
 
   /// Stops the merge workers after they drain everything already queued
-  /// (no request accepted before the call is lost), then joins them; any
-  /// stragglers enqueued during the stop are pumped inline. Afterwards
-  /// async-configured keys fall back to synchronous publication. Called
-  /// by the destructor; safe to call repeatedly.
+  /// (no request accepted before the call is lost), then joins them; in
+  /// manual-pump mode the queue is pumped inline. From the call on, a
+  /// cadence trip of an async key is refused and counted in
+  /// EngineStats::publish_rejected; RefreshSnapshot() and RefreshAll()
+  /// still publish. Called by the destructor; safe to call repeatedly.
   void StopPublishWorkers();
 
   /// Requests queued right now (diagnostic; racy by nature).
   std::size_t PublishQueueDepth() const;
 
-  /// Operations sitting in `key`'s shard buffers, not yet applied to the
-  /// shard histograms (diagnostic; takes the buffer locks).
-  std::size_t BufferedOps(std::string_view key) const;
-
-  /// Estimated tuples under `key` with lo <= A <= hi / with A = v, read
-  /// from the last published snapshot. Lock-free and allocation-free:
-  /// answered by the snapshot's compiled prefix-CDF arena, bit-identical
-  /// to the model's piece walk.
+  /// Estimated tuples under `key` with lo <= A <= hi (an equality
+  /// predicate A = v is the range [v, v]), read from the last published
+  /// snapshot. Lock-free and allocation-free: answered by the snapshot's
+  /// compiled prefix-CDF arena, bit-identical to the model's piece walk.
   ///
   /// These string-keyed reads are thin wrappers: one transparent
   /// registry find (shared lock), then the same estimate body the handle
@@ -285,7 +280,6 @@ class HistogramEngine {
   /// query through the KeyHandle overloads below.
   double EstimateRange(std::string_view key, std::int64_t lo,
                        std::int64_t hi) const;
-  double EstimateEquals(std::string_view key, std::int64_t v) const;
 
   // ---- Epoch-pinned reader fast path (see key_handle.h) ----
 
@@ -310,7 +304,6 @@ class HistogramEngine {
   /// Bit-identical to the string-keyed reads.
   double EstimateRange(const KeyHandle& handle, std::int64_t lo,
                        std::int64_t hi) const;
-  double EstimateEquals(const KeyHandle& handle, std::int64_t v) const;
 
   /// Batch estimate: answers `count` range queries into `results`,
   /// revalidating the lease and settling the stats counters ONCE for
@@ -320,8 +313,6 @@ class HistogramEngine {
   /// consistent snapshot: all answers come from the same lease).
   void EstimateRangeBatch(const KeyHandle& handle, const RangeQuery* queries,
                           std::size_t count, double* results) const;
-  std::vector<double> EstimateRangeBatch(
-      const KeyHandle& handle, const std::vector<RangeQuery>& queries) const;
 
   /// The published snapshot via the lease — the handle analogue of
   /// Snapshot(key), sharing its semantics (counts a query; yields the
@@ -365,8 +356,6 @@ class HistogramEngine {
   /// newest 4096 events, disabled when telemetry is off).
   const telemetry::TraceRing& trace() const { return trace_; }
 
-  const EngineOptions& options() const { return options_; }
-
  private:
   // Per-key state is hoisted to key_state.h (namespace internal) so
   // KeyHandle and the thread-local snapshot lease cache can name it; the
@@ -388,14 +377,6 @@ class HistogramEngine {
   static std::size_t ShardIndexFor(const KeyState& state, std::int64_t value);
   EngineShard& ShardFor(KeyState& state, std::int64_t value) const;
 
-  // Shared body of EstimateRange/EstimateEquals (equality is the
-  // single-value range): one lock-free published-model load, answered
-  // by its compiled arena, and every 1024th query of a key
-  // latency-sampled into query_latency_hist_ (batch-granularity
-  // discipline: the other 1023 pay no clock read).
-  double EstimateImpl(std::string_view key, std::int64_t lo,
-                      std::int64_t hi) const;
-
   // The estimate tail every entry point (string, handle, batch) funnels
   // into: counts the query against `state`, unifies the no-snapshot
   // fallback (vm == nullptr counts in unknown_queries_, exactly like an
@@ -410,7 +391,7 @@ class HistogramEngine {
   void CountLease(KeyState& state, bool hit) const;
 
   // Drains `state`'s shard buffers into its histograms and traces the
-  // flush: the body of Flush and FlushAll.
+  // flush: the body of FlushAll.
   void FlushShards(KeyState& state);
 
   // Pushes one insert or delete, bumps its counter, and runs the publish
@@ -422,17 +403,13 @@ class HistogramEngine {
   // request (async) if the key's cadence says so.
   void MaybeAutoPublish(KeyState& state);
 
-  // Async path of MaybeAutoPublish: coalesce into a pending request or
-  // enqueue a new one (spawning the worker pool on first use).
+  // Async path of MaybeAutoPublish: coalesce into a pending request,
+  // enqueue a new one, or refuse it once the workers are stopping.
   void RequestAsyncPublish(KeyState& state, std::uint64_t count);
 
   // Pops one request and publishes it on the calling thread. Returns
   // false when the queue is empty. Shared by workers and PumpPublishes.
   bool RunOneQueuedPublish();
-
-  // Spawns the merge workers if configured and not yet running. Called
-  // under queue_mu_.
-  void EnsureWorkersLocked();
 
   // Flush + superimpose + reduce, then PublishModel. Returns the
   // snapshot. The second overload runs under an already-held publish
@@ -510,20 +487,19 @@ class HistogramEngine {
   // per-key query counters cover reads that were actually served.
   mutable std::atomic<std::uint64_t> unknown_queries_{0};
 
-  // Publish queue (all guarded by queue_mu_ unless noted). Holds raw
-  // KeyState pointers: the registry never erases keys, and the destructor
-  // stops the workers before the registry is torn down.
+  // Publish queue (guarded by queue_mu_). Holds raw KeyState pointers,
+  // at most one per key (KeyState::publish_pending): the registry never
+  // erases keys, and the destructor stops the workers before the
+  // registry is torn down.
   mutable std::mutex queue_mu_;
   std::deque<KeyState*> publish_queue_;
   std::condition_variable queue_cv_;  // workers: work available / stopping
   std::condition_variable drain_cv_;  // DrainPublishes: empty and idle
   int publishes_in_flight_ = 0;
   bool queue_stopping_ = false;
-  bool workers_spawned_ = false;
+  // The merge workers, started by the constructor of an async engine and
+  // joined by StopPublishWorkers.
   std::vector<std::thread> workers_;
-  // Set (after the join) by StopPublishWorkers: async keys fall back to
-  // synchronous publication. Read outside queue_mu_ on the writer path.
-  std::atomic<bool> workers_stopped_{false};
 };
 
 }  // namespace dynhist::engine

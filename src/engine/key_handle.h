@@ -25,7 +25,6 @@
 #define DYNHIST_ENGINE_KEY_HANDLE_H_
 
 #include <cstdint>
-#include <string_view>
 
 #include "src/engine/key_state.h"
 
@@ -47,11 +46,6 @@ class KeyHandle {
   KeyHandle() = default;
 
   bool valid() const { return state_ != nullptr; }
-
-  /// The key this handle resolves, or "" for an empty handle.
-  std::string_view key() const {
-    return state_ == nullptr ? std::string_view() : state_->name;
-  }
 
   /// The key's published snapshot epoch right now (0 = never published;
   /// relaxed). The epoch is stored only after its snapshot is swapped

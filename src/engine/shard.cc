@@ -102,16 +102,17 @@ void EngineShard::ApplyLocked(const std::vector<UpdateOp>& batch) {
   // chunk; an oversized PushMany/Flush drain is split so the histogram
   // still adapts (repartitions) at the configured cadence instead of
   // absorbing the whole drain as a handful of giant weighted steps. A
-  // chunk of one op is that op: InsertN(v, 1), DeleteN(v, 1) and
-  // ApplyFeedbackN(…, 1) take the single-op steps, so batch_size 1
-  // replays ops one by one in push order.
+  // chunk of one op is that op: InsertN(v, 1) and DeleteN(v, 1) take the
+  // single-op steps, so batch_size 1 replays ops one by one in push order.
   const auto chunk = static_cast<std::size_t>(batch_size_);
   for (std::size_t begin = 0; begin < batch.size(); begin += chunk) {
     const std::size_t end = std::min(batch.size(), begin + chunk);
     // Feedback ops must not enter the by-value data coalesce: segment the
-    // chunk into maximal data / feedback runs, coalescing each kind its
-    // own way while preserving their relative order (the feedback update
-    // rule reads the frequencies data ops write).
+    // chunk into maximal data / feedback runs, preserving their relative
+    // order (the feedback update rule reads the frequencies data ops
+    // write). Feedback applies op by op in push order: the error-driven
+    // rule is order-dependent, so even a repeated predicate takes one
+    // step per observation.
     std::size_t seg = begin;
     while (seg < end) {
       const bool feedback = batch[seg].kind == UpdateOp::Kind::kFeedback;
@@ -121,7 +122,10 @@ void EngineShard::ApplyLocked(const std::vector<UpdateOp>& batch) {
         ++stop;
       }
       if (feedback) {
-        CoalesceFeedbackAndApply(batch, seg, stop);
+        for (std::size_t i = seg; i < stop; ++i) {
+          histogram_->ApplyFeedback(batch[i].value, batch[i].hi,
+                                    batch[i].actual);
+        }
       } else {
         CoalesceAndApply(batch, seg, stop);
       }
@@ -176,27 +180,6 @@ void EngineShard::CoalesceAndApply(const std::vector<UpdateOp>& batch,
     }
     if (g.inserts > 0) histogram_->InsertN(g.value, g.inserts);
     if (g.deletes > 0) histogram_->DeleteN(g.value, g.deletes);
-  }
-}
-
-void EngineShard::CoalesceFeedbackAndApply(
-    const std::vector<UpdateOp>& batch, std::size_t begin, std::size_t end) {
-  // Consecutive identical observations (a repeated predicate) collapse
-  // into one weighted ApplyFeedbackN — bit-identical to the sequential
-  // replay by the Histogram contract. Distinct observations keep their
-  // arrival order: the error-driven update rule is not commutative
-  // across predicates, so reordering would change the trajectory.
-  std::size_t i = begin;
-  while (i < end) {
-    std::size_t j = i + 1;
-    while (j < end && batch[j] == batch[i]) ++j;
-    const auto run = static_cast<std::int64_t>(j - i);
-    if (run >= 2 && telemetry_.coalesce_run != nullptr) {
-      telemetry_.coalesce_run->Record(static_cast<std::uint64_t>(run));
-    }
-    histogram_->ApplyFeedbackN(batch[i].value, batch[i].hi, batch[i].actual,
-                               run);
-    i = j;
   }
 }
 

@@ -87,19 +87,14 @@ class EngineShard {
   // collapse into weighted InsertN/DeleteN calls (inserts first per
   // value, groups in first-occurrence order, via one pass through a
   // value-to-group hash table — the batch itself is not reordered), so
-  // the histogram pays one maintenance step per distinct value.
+  // the histogram pays one maintenance step per distinct value. Feedback
+  // ops apply one by one, in push order, between the data runs.
   void ApplyLocked(const std::vector<UpdateOp>& batch);
 
   // Coalesces batch[begin, end) by value and applies the weighted groups
   // in first-occurrence order (under hist_mu_). Data ops only.
   void CoalesceAndApply(const std::vector<UpdateOp>& batch, std::size_t begin,
                         std::size_t end);
-
-  // Coalesces a run of feedback ops batch[begin, end): consecutive
-  // identical observations collapse into one ApplyFeedbackN; distinct
-  // observations stay in arrival order (under hist_mu_).
-  void CoalesceFeedbackAndApply(const std::vector<UpdateOp>& batch,
-                                std::size_t begin, std::size_t end);
 
   const int batch_size_;
   const ShardTelemetry telemetry_;

@@ -73,15 +73,11 @@ class EngineSnapshot {
   /// Total mass the snapshot believes the key holds.
   double TotalCount() const { return state_->model.TotalCount(); }
 
-  /// Estimated number of tuples with lo <= A <= hi.
+  /// Estimated number of tuples with lo <= A <= hi (A = v is the range
+  /// [v, v]). For selectivities (result fractions of the relation), wrap
+  /// model() in a SelectivityEstimator.
   double EstimateRange(std::int64_t lo, std::int64_t hi) const {
     return state_->compiled.EstimateRange(lo, hi);
-  }
-
-  /// Estimated number of tuples with A = v. For selectivities (result
-  /// fractions of the relation), wrap model() in a SelectivityEstimator.
-  double EstimateEquals(std::int64_t v) const {
-    return EstimateRange(v, v);
   }
 
  private:

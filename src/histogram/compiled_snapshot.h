@@ -126,9 +126,6 @@ class CompiledSnapshot {
   /// range-predicate selectivity, as one fused dual search.
   double EstimateRange(std::int64_t lo, std::int64_t hi) const;
 
-  /// Estimated points with value exactly v.
-  double EstimatePoint(std::int64_t v) const { return EstimateRange(v, v); }
-
   /// Read-only views of the arena: `borders()` is the n ascending right
   /// borders the search runs over, `rows()` the n + 1 payload rows. Null
   /// when absent.

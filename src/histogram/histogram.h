@@ -71,21 +71,6 @@ class Histogram {
     return -1.0;
   }
 
-  /// Records `times` identical feedback observations — the coalesced
-  /// form the engine's batch buffers produce for repeated predicates.
-  /// Equivalent to `times` ApplyFeedback calls (overrides must keep the
-  /// trajectory bit-identical to the sequential replay); returns the
-  /// first call's pre-update absolute error.
-  virtual double ApplyFeedbackN(std::int64_t lo, std::int64_t hi,
-                                double actual, std::int64_t times) {
-    double first = -1.0;
-    for (std::int64_t i = 0; i < times; ++i) {
-      const double abs_err = ApplyFeedback(lo, hi, actual);
-      if (i == 0) first = abs_err;
-    }
-    return first;
-  }
-
   /// Exports the current estimation snapshot.
   virtual HistogramModel Model() const = 0;
 

@@ -182,13 +182,29 @@ TEST(EngineAsyncTest, StopDrainsQueuedRequestsInManualMode) {
   EXPECT_EQ(snapshot.watermark(), 300u);
   EXPECT_DOUBLE_EQ(snapshot.TotalCount(), 300.0);
 
-  // After the stop, async keys fall back to synchronous publication —
-  // cadence trips still publish, just inline.
+  // After the stop, a cadence trip is refused and counted. The refusal
+  // clears the pending flag, so the next trip is refused and counted
+  // again: the key is never wedged.
   for (const std::int64_t v : ZipfValues(100, /*seed=*/42)) {
     engine.Insert(kKey, v);
   }
-  EXPECT_EQ(engine.Snapshot(kKey).epoch(), 2u);
+  EngineStats stats = engine.Stats();
+  EXPECT_EQ(stats.publish_rejected, 1u);
+  EXPECT_EQ(stats.publish_queued, 1u);  // the request queued before the stop
   EXPECT_EQ(engine.PublishQueueDepth(), 0u);
+  EXPECT_EQ(engine.Snapshot(kKey).epoch(), 1u);
+  for (const std::int64_t v : ZipfValues(100, /*seed=*/72)) {
+    engine.Insert(kKey, v);
+  }
+  stats = engine.Stats();
+  EXPECT_EQ(stats.publish_rejected, 2u);
+  EXPECT_EQ(engine.PublishQueueDepth(), 0u);
+
+  // An explicit refresh still publishes.
+  const EngineSnapshot refreshed = engine.RefreshSnapshot(kKey);
+  EXPECT_EQ(refreshed.epoch(), 2u);
+  EXPECT_EQ(refreshed.watermark(), 500u);
+  EXPECT_DOUBLE_EQ(refreshed.TotalCount(), 500.0);
 }
 
 TEST(EngineAsyncTest, StopDrainsQueueAcrossManyKeysWithWorkers) {
@@ -233,35 +249,6 @@ TEST(EngineAsyncTest, DrainPublishesWaitsForWorkerCompletion) {
   EXPECT_DOUBLE_EQ(snapshot.TotalCount(), 100.0);
 }
 
-TEST(EngineAsyncTest, FullQueueRejectsRequestAndKeyRetriesLater) {
-  EngineOptions options = ManualAsyncOptions();
-  options.publish_queue_capacity = 0;  // every enqueue rejected
-  HistogramEngine engine(options);
-
-  for (const std::int64_t v : ZipfValues(100, /*seed=*/71)) {
-    engine.Insert(kKey, v);
-  }
-  EngineStats stats = engine.Stats();
-  EXPECT_EQ(stats.publish_rejected, 1u);
-  EXPECT_EQ(stats.publish_queued, 0u);
-  EXPECT_EQ(engine.PublishQueueDepth(), 0u);
-  EXPECT_EQ(engine.Snapshot(kKey).epoch(), 0u);
-
-  // The rejection cleared the pending flag, so the next cadence trip
-  // retries (and is rejected again — staleness stays bounded, the key is
-  // never wedged).
-  for (const std::int64_t v : ZipfValues(100, /*seed=*/72)) {
-    engine.Insert(kKey, v);
-  }
-  stats = engine.Stats();
-  EXPECT_EQ(stats.publish_rejected, 2u);
-
-  // Explicit refresh always works regardless of queue pressure.
-  const EngineSnapshot snapshot = engine.RefreshSnapshot(kKey);
-  EXPECT_EQ(snapshot.epoch(), 1u);
-  EXPECT_DOUBLE_EQ(snapshot.TotalCount(), 200.0);
-}
-
 TEST(EngineAsyncTest, StatsConsistentAfterConcurrentDrain) {
   // Two writers race two merge workers; after join + drain the counters
   // must be mutually consistent (the EngineStats contract at a
@@ -293,8 +280,8 @@ TEST(EngineAsyncTest, StatsConsistentAfterConcurrentDrain) {
             static_cast<std::uint64_t>(kWriters * kPerWriter));
   EXPECT_EQ(stats.deletes, 0u);
   // Every accepted request was drained: merged, or elided because a merge
-  // racing the trip had already covered it; none rejected at default
-  // capacity.
+  // racing the trip had already covered it; none refused, since the
+  // workers never stopped.
   EXPECT_EQ(stats.publish_rejected, 0u);
   EXPECT_EQ(stats.async_publishes + stats.publish_skipped,
             stats.publish_queued);

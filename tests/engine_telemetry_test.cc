@@ -313,13 +313,12 @@ TEST(EngineTelemetryTest, TraceRecordsPublishLifecycleAndRejects) {
   engine.WriteTraceJson(&trace_json);
   EXPECT_NE(trace_json.find("\"trigger\":\"refresh\""), std::string::npos);
 
-  // A zero-capacity publish queue rejects every async request and traces
-  // the rejection.
+  // A stopped engine refuses every async request and traces the refusal.
   EngineOptions reject_options = ManualOptions();
   reject_options.snapshot_every = 4;
   reject_options.async_publish = true;
-  reject_options.publish_queue_capacity = 0;
   HistogramEngine rejecting(reject_options);
+  rejecting.StopPublishWorkers();
   for (int i = 0; i < 4; ++i) rejecting.Insert("k", i);
   EXPECT_EQ(rejecting.Stats("k").publish_rejected, 1u);
   const auto rejected_events = rejecting.trace().Events();

@@ -306,10 +306,10 @@ std::uint64_t ReplayThroughShard(const EngineOptions& options,
 TEST(HistogramEngineTest, CoalescedShardStreamsReplayBitIdentically) {
   // Pinned outputs of the coalescing drain: duplicate values collapse into
   // one weighted insert and one weighted delete, applied in first-occurrence
-  // order, and feedback runs collapse per repeated predicate in arrival
-  // order. Any change to the grouping, the group order or the weighted
-  // steps moves a digest; a faster coalescer must leave every line
-  // unchanged.
+  // order, and feedback ops, repeated predicates included, apply one by
+  // one in push order. Any change to the grouping, the group order or the
+  // weighted steps moves a digest; a faster coalescer must leave every
+  // line unchanged.
   struct Case {
     const char* name;
     ShardHistogramKind kind;

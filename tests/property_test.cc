@@ -316,7 +316,7 @@ TEST_P(StFeedbackConvergenceOracleTest, WindowedTrainingErrorNonIncreasing) {
 }
 
 // Same sync-vs-async bit-identity oracle as above, for the feedback path:
-// RecordFeedback rides the shard batch buffers, gets coalesced, and is
+// RecordFeedback rides the shard batch buffers, applies op by op, and is
 // broadcast with 1/shards scaling — none of which may depend on when the
 // async merges run. batch_size 1 again pins the shard trajectories.
 
