@@ -37,9 +37,10 @@ std::unique_ptr<Histogram> MakeShardHistogram(const EngineOptions& options) {
 
 EngineShard::EngineShard(const EngineOptions& options,
                          const ShardTelemetry& telemetry)
-    : batch_size_(options.batch_size < 1 ? 1 : options.batch_size),
+    : batch_size_(options.batch_size),
       telemetry_(telemetry),
       histogram_(MakeShardHistogram(options)) {
+  DH_CHECK(batch_size_ >= 1);
   buffer_.reserve(static_cast<std::size_t>(batch_size_));
 }
 

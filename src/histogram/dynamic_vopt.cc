@@ -262,11 +262,11 @@ void DynamicVOptHistogram::SplitAndMerge(std::size_t s, std::size_t m) {
 
   // Split bucket s along the sub-bucket border that best balances the mass;
   // both halves get equal sub-counts (rho = 0). The border snaps to an
-  // integer attribute position: all borders are created integral (loading
-  // uses data values, merges reuse existing borders), so repeated splits
-  // drive hot cells down to true width-1 singleton buckets instead of
-  // trapping them in fractional-width buckets that are too narrow to split
-  // again (§7.1: DADO "can afford to create buckets with only one value").
+  // integer position: every border is integral (loading uses data values,
+  // out-of-range inserts x or x + 1, merges reuse borders), so repeated
+  // splits drive hot cells down to true width-1 singleton buckets instead
+  // of trapping them in fractional-width buckets too narrow to split again
+  // (§7.1: DADO "can afford to create buckets with only one value").
   VBucket& old = buckets_[s];
   const int k = config_.sub_buckets;
   const double w = old.Width();
@@ -287,12 +287,8 @@ void DynamicVOptHistogram::SplitAndMerge(std::size_t s, std::size_t m) {
       old.left + w * static_cast<double>(best_j) / static_cast<double>(k);
   const double snap_lo = std::ceil(old.left + 1.0);
   const double snap_hi = std::floor(old.right - 1.0);
-  // snap_lo > snap_hi can only happen for legacy fractional borders; fall
-  // back to the exact sub-border in that case.
-  const double border = snap_lo <= snap_hi
-                            ? std::clamp(std::round(raw_border), snap_lo,
-                                         snap_hi)
-                            : raw_border;
+  DH_CHECK(snap_lo <= snap_hi);  // integral borders, w >= kMinSplitWidth
+  const double border = std::clamp(std::round(raw_border), snap_lo, snap_hi);
   // Mass on each side of the snapped border, by proportional overlap with
   // the bucket's fragments.
   Fragment old_frags[kMaxSubBuckets];
