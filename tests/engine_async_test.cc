@@ -98,6 +98,40 @@ TEST(EngineAsyncTest, ManualPumpCoalescesCadenceTripsIntoOneMerge) {
   EXPECT_EQ(engine.Snapshot(kKey).watermark(), 600u);
 }
 
+TEST(EngineAsyncTest, QueueHoldsOneRequestPerKey) {
+  // The bound on the publish queue: however often its keys trip the
+  // cadence, the queue holds at most one request per key, and nothing is
+  // refused while the engine runs.
+  HistogramEngine engine(ManualAsyncOptions());
+  constexpr int kKeys = 40;
+  const auto values = ZipfValues(300, /*seed=*/61);
+  for (int k = 0; k < kKeys; ++k) {
+    // Three cadence trips per key: at 100, 200 and 300 updates.
+    for (const std::int64_t v : values) {
+      engine.Insert("key." + std::to_string(k), v);
+    }
+  }
+  EngineStats stats = engine.Stats();
+  EXPECT_EQ(engine.PublishQueueDepth(), static_cast<std::size_t>(kKeys));
+  EXPECT_EQ(stats.publish_queued, static_cast<std::uint64_t>(kKeys));
+  EXPECT_EQ(stats.publish_coalesced, 2u * kKeys);
+  EXPECT_EQ(stats.publish_rejected, 0u);
+  EXPECT_EQ(stats.publishes, 0u);
+
+  // One pump publishes each key once, at its newest state.
+  EXPECT_EQ(engine.PumpPublishes(), static_cast<std::size_t>(kKeys));
+  EXPECT_EQ(engine.PublishQueueDepth(), 0u);
+  for (int k = 0; k < kKeys; ++k) {
+    const EngineSnapshot snapshot =
+        engine.Snapshot("key." + std::to_string(k));
+    EXPECT_EQ(snapshot.epoch(), 1u) << "key." << k;
+    EXPECT_EQ(snapshot.watermark(), 300u) << "key." << k;
+  }
+  stats = engine.Stats();
+  EXPECT_EQ(stats.publishes, static_cast<std::uint64_t>(kKeys));
+  EXPECT_EQ(stats.async_publishes, static_cast<std::uint64_t>(kKeys));
+}
+
 TEST(EngineAsyncTest, PumpedSnapshotMatchesSyncOracleBitForBit) {
   EngineOptions async_options = ManualAsyncOptions();
   EngineOptions sync_options = async_options;
