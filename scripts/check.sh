@@ -1,14 +1,20 @@
 #!/usr/bin/env bash
 # One-command regression check: the tier-1 sequence from ROADMAP.md plus
-# the quick micro-bench gates, a loopback smoke test and two self-tests,
-# so a single run catches build breaks, unit/concurrency regressions, and
-# gross merge-pipeline / engine / wire / accuracy regressions. Steps:
+# the quick micro-bench gates, the paper figure benches, a loopback smoke
+# test and two self-tests, so a single run catches build breaks,
+# unit/concurrency regressions, aborts in a paper figure, and gross
+# merge-pipeline / engine / wire / accuracy regressions. Steps:
 #
 #   dependency direction  scripts/check_deps.sh fails when a lower layer
 #                         includes a higher one (histogram/ <- engine/ <-
 #                         distributed/).
 #   configure, build, ctest (the full test suite).
 #   quick bench gates     each bench exits nonzero when a gate fails.
+#   paper figure benches  every fig*/ablation* bench with --quick; fails
+#                         when one exits nonzero (an abort in a paper
+#                         figure). Only the exit status is checked: fig13
+#                         prints wall-clock times, and float output may
+#                         differ across compilers.
 #   loopback smoke        scripts/loopback_smoke.sh: a real engine_server
 #                         --serve process against engine_client over
 #                         127.0.0.1; fails unless wire estimates are
@@ -107,6 +113,12 @@ echo "== distributed frame micro-bench (quick) =="
 
 echo "== self-tuning feedback micro-bench (quick) =="
 "$BUILD_DIR/micro_st_feedback" --quick
+
+echo "== paper figure benches (quick; exit status only) =="
+for bench in "$BUILD_DIR"/fig* "$BUILD_DIR"/ablation*; do
+  echo "-- $(basename "$bench")"
+  "$bench" --quick > /dev/null
+done
 
 echo "== loopback smoke (server + client over 127.0.0.1) =="
 scripts/loopback_smoke.sh "$BUILD_DIR"
