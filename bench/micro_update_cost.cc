@@ -1,11 +1,15 @@
 // Per-update cost micro-benchmark.
 //
-// Backs the cost analysis of §3.1 / §4.4: DC pays O(log n) per insert (a
-// binary search plus O(1) chi-square bookkeeping), and so do DVO/DADO (a
-// bucket search, the rho of the changed bucket and its two pairs, and a
-// tournament-tree repair that keeps Theorem 4.1's split and merge
-// candidates on top; only an executed repartition pays O(n), to shift the
-// bucket vectors). AC's cost is dominated by its backing-sample
+// Backs the cost analysis of §3.1 / §4.4: a DC insert that does not
+// repartition pays O(log n) (a binary search plus O(1) chi-square
+// bookkeeping), and so do DVO/DADO (a bucket search, the rho of the
+// changed bucket and its two pairs, and a tournament-tree repair that
+// keeps Theorem 4.1's split and merge candidates on top; only an executed
+// repartition pays O(n), to shift the bucket vectors). DC's arm mostly
+// times repartitions: on this bench's input (points 0-200k in cluster
+// order, then cycling over 50k-200k) DC at 1 KiB repartitioned on 64, 7,
+// 49, 28, 53, 64, 69, 99, 98 and 100% of the inserts in successive
+// 100k-insert blocks. AC's cost is dominated by its backing-sample
 // maintenance. Also measures DADO insert cost against memory, DADO
 // deletion, Model() export and the KS statistic; Fig. 13 times the static
 // constructions.

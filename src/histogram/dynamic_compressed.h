@@ -11,9 +11,16 @@
 // controls how eagerly that happens; the paper found the algorithm
 // insensitive to it as long as alpha_min << 1 and used 1e-6.
 //
-// Maintenance cost is O(log n) per update (the chi-square statistic over
-// the regular counts is maintained incrementally); a repartition costs
-// O(n + log(domain)) and is triggered rarely.
+// An update that does not repartition costs O(log n) (the chi-square
+// statistic over the regular counts is maintained incrementally); a
+// repartition costs O(n + log(domain)). Repartitions are not rare, and
+// they grow more frequent with N: the chi-square statistic of a fixed
+// relative imbalance grows with N. Measured at 1 KiB (127 buckets) over
+// GenerateClusterData's 200k points (seed 42), replayed in a cycle for
+// 1M inserts, the share of inserts that repartitioned in each 100k-insert
+// block was 64, 7, 13, 24, 13, 20, 25, 28, 25 and 77% in cluster order,
+// and 38%, then 100% in every later block, in §7's random order
+// (MakeRandomInsertStream, Rng 7).
 
 #ifndef DYNHIST_HISTOGRAM_DYNAMIC_COMPRESSED_H_
 #define DYNHIST_HISTOGRAM_DYNAMIC_COMPRESSED_H_
