@@ -163,8 +163,13 @@ HistogramEngine::HistogramEngine(const EngineOptions& options)
   DH_CHECK(options_.merge_workers >= 0);
   if (options_.async_publish) {
     workers_.reserve(static_cast<std::size_t>(options_.merge_workers));
-    for (int i = 0; i < options_.merge_workers; ++i) {
-      workers_.emplace_back([this] { MergeWorkerLoop(); });
+    try {
+      for (int i = 0; i < options_.merge_workers; ++i) {
+        workers_.emplace_back([this] { MergeWorkerLoop(); });
+      }
+    } catch (...) {
+      StopPublishWorkers();  // join the workers already started
+      throw;
     }
   }
 }
