@@ -310,16 +310,14 @@ void HistogramEngine::RecordFeedback(const KeyHandle& handle, std::int64_t lo,
 
 void HistogramEngine::FlushAll() {
   std::shared_lock<std::shared_mutex> lock(registry_mu_);
-  for (const auto& [name, state] : registry_) FlushShards(*state);
-}
-
-void HistogramEngine::FlushShards(KeyState& state) {
-  const std::uint64_t start_ns = trace_.NowNs();
-  for (const auto& shard : state.shards) shard->Flush();
-  if (telemetry_on_ && trace_.enabled()) {
-    trace_.Record({telemetry::TraceEventKind::kFlush, state.name.c_str(),
-                   "manual", state.epoch.load(std::memory_order_relaxed),
-                   start_ns, trace_.NowNs() - start_ns, 0});
+  for (const auto& [name, state] : registry_) {
+    const std::uint64_t start_ns = trace_.NowNs();
+    for (const auto& shard : state->shards) shard->Flush();
+    if (telemetry_on_ && trace_.enabled()) {
+      trace_.Record({telemetry::TraceEventKind::kFlush, state->name.c_str(),
+                     "manual", state->epoch.load(std::memory_order_relaxed),
+                     start_ns, trace_.NowNs() - start_ns, 0});
+    }
   }
 }
 

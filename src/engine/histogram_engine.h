@@ -390,10 +390,6 @@ class HistogramEngine {
   // Settles the lease hit/miss counters for one revalidation of `state`.
   void CountLease(KeyState& state, bool hit) const;
 
-  // Drains `state`'s shard buffers into its histograms and traces the
-  // flush: the body of FlushAll.
-  void FlushShards(KeyState& state);
-
   // Pushes one insert or delete, bumps its counter, and runs the publish
   // cadence. An op whose value is outside [kMinValue, kMaxValue] is
   // counted as rejected instead.
