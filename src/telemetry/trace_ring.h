@@ -30,7 +30,7 @@ enum class TraceEventKind : std::uint8_t {
   kPublish = 0,  ///< whole publication: flush + merge + snapshot swap
   kMerge,        ///< the Superimpose + reduce portion of a publication
   kFlush,        ///< draining shard buffers into the shard histograms
-  kReject,       ///< publish request dropped, queue full
+  kReject,       ///< publish request refused: the workers were stopping
 };
 
 /// One traced event. `key` and `trigger` point at storage that outlives
